@@ -25,7 +25,7 @@ from .becker import (
     REGULAR,
     BeckerNormalization,
     Certificate,
-    becker_form_search,
+    certify,
     certify_irregular,
     certify_regular,
     normalize,
@@ -51,6 +51,7 @@ from .mahler import (
     cartier_coordinates,
     companion,
     guess,
+    pinned_relation_search,
     pole_profile,
     solve_series,
     valuation_bound,

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .errors import InvariantViolation
 
@@ -26,10 +27,6 @@ def rat_to_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)
-
-
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 class Poly:
@@ -215,10 +212,6 @@ P_ONE = Poly([1])
 P_Z = Poly([0, 1])
 
 
-def poly_from_ints(*cs) -> Poly:
-    return Poly(cs)
-
-
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic gcd by the Euclidean algorithm (monic == positive leading)."""
     a, b = p, q
@@ -246,37 +239,22 @@ def poly_lcm(p: Poly, q: Poly) -> Poly:
 # -- cyclotomic machinery ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 _PHI_SIEVE: list[int] = [0, 1]
 
 
-def _phi_upto(limit: int) -> list[int]:
-    """Totients 0..limit by sieve, grown on demand and cached."""
+def euler_phi(n: int) -> int:
+    """Euler's totient, read from a sieve table that at least doubles
+    whenever it has to grow, so a scan over n = 1, 2, ... stays linear."""
     global _PHI_SIEVE
-    if limit < len(_PHI_SIEVE):
-        return _PHI_SIEVE
-    table = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if table[p] == p:  # p prime
-            for mult in range(p, limit + 1, p):
-                table[mult] -= table[mult] // p
-    _PHI_SIEVE = table
-    return table
+    if n >= len(_PHI_SIEVE):
+        limit = max(n, 2 * len(_PHI_SIEVE))
+        table = list(range(limit + 1))
+        for p in range(2, limit + 1):
+            if table[p] == p:  # p prime
+                for mult in range(p, limit + 1, p):
+                    table[mult] -= table[mult] // p
+        _PHI_SIEVE = table
+    return _PHI_SIEVE[n]
 
 
 @lru_cache(maxsize=None)
@@ -391,19 +369,18 @@ def cyclotomic_profile(p: Poly) -> CyclotomicProfile:
     # integer factors keeps it integral, and the scale is restored at the end
     denom_lcm = 1
     for c in rest.coeffs:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
     ints = [int(c * denom_lcm) for c in rest.coeffs]
     numer_gcd = 0
     for c in ints:
-        numer_gcd = _gcd(numer_gcd, c)
+        numer_gcd = gcd(numer_gcd, c)
     ints = [c // numer_gcd for c in ints]
     scale = Fraction(numer_gcd, denom_lcm)
 
-    phi = _phi_upto(2 * (len(ints) - 1) ** 2)
     found = []
     n = 1
     while len(ints) > 1 and n <= 2 * (len(ints) - 1) ** 2:
-        if phi[n] <= len(ints) - 1:
+        if euler_phi(n) <= len(ints) - 1:
             # cheap necessary condition: Phi_n(2) divides p(2) over Z
             at2 = _int_eval(ints, 2)
             f2 = _int_eval(list(_cyclotomic_int(n)), 2)
@@ -453,7 +430,7 @@ def multiplicative_order(k: int, n: int) -> int:
     """Least M >= 1 with k^M == 1 (mod n); requires gcd(k, n) = 1."""
     if n == 1:
         return 1
-    if _gcd(k, n) != 1:
+    if gcd(k, n) != 1:
         raise ValueError("k and n are not coprime")
     acc = k % n
     m = 1
@@ -461,12 +438,6 @@ def multiplicative_order(k: int, n: int) -> int:
         acc = (acc * k) % n
         m += 1
     return m
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -487,7 +458,7 @@ def classify_unity_zeros(profile: CyclotomicProfile, k: int) -> ClassifiedZeros:
     fixed = []
     set_a = []
     for n, e in profile.cyclo:
-        if _gcd(n, k) == 1:
+        if gcd(n, k) == 1:
             fixed.append((n, e, multiplicative_order(k, n)))
         else:
             set_a.append((n, e))
@@ -585,6 +556,9 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def __bool__(self):
+        return bool(self.num)
 
     def is_polynomial(self) -> bool:
         return self.den == P_ONE

@@ -27,7 +27,8 @@ from .algebra import (
     poly_gcd,
 )
 from .errors import InvariantViolation
-from .mahler import MahlerEquation, pinned_relation_search, verify
+# pinned_relation_search is the Becker-form search; it stays importable from here
+from .mahler import MahlerEquation, pinned_relation_search, verify  # noqa: F401
 from .regular import LinearRepresentation, closure_rep
 from .series import LaurentSeries
 
@@ -177,18 +178,6 @@ def shifted_solution(norm: BeckerNormalization, f: LaurentSeries) -> LaurentSeri
     return (f * qinv).shift(-norm.gamma)
 
 
-def becker_form_search(
-    g: LaurentSeries, k: int, depth_max: int, deg_max: int, margin: int = 16
-) -> MahlerEquation | None:
-    """Bounded search for a relation g = sum_{j=1..D} b_j(z) g(z^(k^j)).
-
-    Existence is guaranteed after normalization when the original series
-    is k-regular, but the bounds are user-visible and exhausting them is
-    reported as None, never as a negative claim.
-    """
-    return pinned_relation_search(g, k, depth_max, deg_max, margin)
-
-
 def certify_regular(eq: MahlerEquation) -> Certificate:
     """Sufficiency certificate: after dividing out the coefficient content
     (which preserves the solution set), every zero of a_0 must be 0 or a
@@ -305,6 +294,17 @@ def certify_irregular(
             )
         notes.append("M=%d: a_0 has no nonzero fixed-point zeros" % m)
     return Certificate(INCONCLUSIVE, note="; ".join(notes))
+
+
+def certify(
+    eq: MahlerEquation, f: LaurentSeries | None = None, m_max: int = 3
+) -> Certificate:
+    """The certification entry point: certify_regular, and when that is not
+    REGULAR and a solution prefix f is given, certify_irregular on f."""
+    cert = certify_regular(eq)
+    if cert.verdict != REGULAR and f is not None:
+        cert = certify_irregular(eq, f, m_max)
+    return cert
 
 
 def witness_equation(norm: BeckerNormalization, becker_eq: MahlerEquation) -> MahlerEquation:

@@ -17,9 +17,7 @@ from . import corpus as corpus_mod
 from . import jsonio
 from .algebra import rat_to_str
 from .becker import (
-    REGULAR,
-    becker_form_search,
-    certify_irregular,
+    certify,
     certify_regular,
     normalize,
     shifted_solution,
@@ -27,7 +25,7 @@ from .becker import (
     witness_equation,
 )
 from .errors import InvariantViolation
-from .mahler import guess, pole_profile, solve_series, valuation_bound, verify
+from .mahler import guess, pinned_relation_search, pole_profile, solve_series, valuation_bound, verify
 from .regular import closure_rep, eval_rep, rep_to_equation
 from .series import cartier
 
@@ -186,7 +184,7 @@ def cmd_normalize(args):
 
 def cmd_becker_search(args):
     g = _read_series(args.series)
-    eq = becker_form_search(g, args.k, args.depth_max, args.deg_max)
+    eq = pinned_relation_search(g, args.k, args.depth_max, args.deg_max)
     if eq is None:
         return (
             {"verdict": "INCONCLUSIVE", "note": "bounds exhausted"},
@@ -200,9 +198,8 @@ def cmd_becker_search(args):
 
 def cmd_certify(args):
     eq = _read_equation(args.equation, args.k)
-    cert = certify_regular(eq)
-    if cert.verdict != REGULAR and args.series:
-        cert = certify_irregular(eq, _read_series(args.series), args.m_max)
+    f = _read_series(args.series) if args.series else None
+    cert = certify(eq, f, args.m_max)
     doc = jsonio.certificate_to_json(cert)
     lines = ["%s%s" % (cert.verdict, " (%s)" % cert.note if cert.note else "")]
     return doc, lines
@@ -314,7 +311,7 @@ def cmd_pipeline(args):
         report["normalization"] = jsonio.normalization_to_json(norm)
         g = shifted_solution(norm, f)
         stage = "becker-search"
-        becker_eq = becker_form_search(g, eq.k, args.depth_max, args.deg_max)
+        becker_eq = pinned_relation_search(g, eq.k, args.depth_max, args.deg_max)
         if becker_eq is None:
             report["becker"] = {"verdict": "INCONCLUSIVE"}
         else:
@@ -331,9 +328,7 @@ def cmd_pipeline(args):
                 "certificate": jsonio.certificate_to_json(certify_regular(wit)),
             }
         stage = "certify"
-        cert = certify_regular(eq)
-        if cert.verdict != REGULAR:
-            cert = certify_irregular(eq, f, args.m_max)
+        cert = certify(eq, f, args.m_max)
         report["certificate"] = jsonio.certificate_to_json(cert)
     except Exception as exc:
         exc.pipeline_stage = stage

@@ -11,16 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import P_ONE, Poly
-from .becker import (
-    NOT_REGULAR,
-    REGULAR,
-    becker_form_search,
-    certify_irregular,
-    certify_regular,
-    normalize,
-)
+from .becker import NOT_REGULAR, certify, normalize
 from .errors import InvariantViolation
-from .mahler import MahlerEquation, guess, verify
+from .mahler import MahlerEquation, guess, pinned_relation_search, verify
 from .regular import closure_rep
 from .series import LaurentSeries, prefix_oracle
 
@@ -123,7 +116,7 @@ def no_becker_multiple_probe(
         if r.is_zero():
             raise ValueError("multipliers must be nonzero polynomials")
         rf = fam.F.mul_poly(r).truncate(fam.F.order)
-        eq = becker_form_search(rf, k, depth_max, deg_max)
+        eq = pinned_relation_search(rf, k, depth_max, deg_max)
         out.append(ProbeResult(r, eq is not None, eq))
     return out
 
@@ -146,9 +139,7 @@ CLOSURE_CAPS = {"max_dim": 8, "max_depth": 16}
 
 def _expectations(eq: MahlerEquation, prefix: LaurentSeries) -> dict:
     rep = closure_rep(eq, prefix, **CLOSURE_CAPS)
-    cert = certify_regular(eq)
-    if cert.verdict != REGULAR:
-        cert = certify_irregular(eq, prefix)
+    cert = certify(eq, prefix)
     norm = normalize(eq)
     expected = {
         "regularity": cert.verdict,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import ceil, gcd
 
 from . import linalg
@@ -397,33 +398,31 @@ def _mat_subst(a, m: int):
     return [[entry.substitute_power(m) for entry in row] for row in a]
 
 
+def _companion_products(eq: MahlerEquation):
+    """B_1, B_2, ... with B_n = A(z) A(z^k) ... A(z^(k^(n-1)))."""
+    a = companion(eq)
+    b = a
+    n = 1
+    while True:
+        yield b
+        b = _mat_mul(b, _mat_subst(a, eq.k**n))
+        n += 1
+
+
 def b_product(eq: MahlerEquation, n: int) -> list[list[RationalFunction]]:
     """The iterated companion product A(z) A(z^k) ... A(z^(k^(n-1)))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = companion(eq)
-    b = a
-    for j in range(1, n):
-        b = _mat_mul(b, _mat_subst(a, eq.k**j))
-    return b
+    return next(islice(_companion_products(eq), n - 1, None))
 
 
 def pole_profile(eq: MahlerEquation, n_order: int, n_max: int) -> list[int]:
     """Maximal multiplicity of Phi_{n_order} in the denominators of the
     entries of B_1, ..., B_{n_max}."""
-    a = companion(eq)
-    b = a
-    out = []
-    for n in range(1, n_max + 1):
-        if n > 1:
-            b = _mat_mul(b, _mat_subst(a, eq.k ** (n - 1)))
-        worst = 0
-        for row in b:
-            for entry in row:
-                if not entry.is_zero():
-                    worst = max(worst, cyclo_multiplicity(entry.den, n_order))
-        out.append(worst)
-    return out
+    return [
+        max((cyclo_multiplicity(e.den, n_order) for row in b for e in row if e), default=0)
+        for _, b in zip(range(n_max), _companion_products(eq))
+    ]
 
 
 # -- section operators on coordinate vectors -------------------------------

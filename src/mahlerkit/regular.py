@@ -233,51 +233,22 @@ def _row_times_mat(row, mat):
 def _poly_rows_dependence(rows):
     """First kernel vector of sum p_i rows[i] = 0 over Q(z), cleared to
     coprime polynomials; None when the rows are independent."""
-    nrows = len(rows)
-    ncols = len(rows[0])
-    cols = [
-        [RationalFunction.from_poly(rows[i][c]) for i in range(nrows)]
-        for c in range(ncols)
-    ]
-    pivots: dict[int, list[RationalFunction]] = {}
-    for eqrow in cols:
-        eqrow = eqrow[:]
-        for j in sorted(pivots):
-            c = eqrow[j]
-            if not c.is_zero():
-                prow = pivots[j]
-                for t in range(nrows):
-                    if not prow[t].is_zero():
-                        eqrow[t] = eqrow[t] - c * prow[t]
-        lead = next((j for j in range(nrows) if not eqrow[j].is_zero()), None)
-        if lead is not None:
-            inv = eqrow[lead]
-            pivots[lead] = [x / inv for x in eqrow]
-    free = next((j for j in range(nrows) if j not in pivots), None)
-    if free is None:
+    ech = linalg.Echelon(len(rows))
+    for c in range(len(rows[0])):
+        ech.add_row([RationalFunction.from_poly(row[c]) for row in rows])
+    kernel = ech.nullspace()
+    if not kernel:
         return None
-    vec = [RationalFunction.from_poly(P_ZERO)] * nrows
-    vec[free] = RationalFunction.from_poly(P_ONE)
-    changed = True
-    while changed:
-        changed = False
-        for j in sorted(pivots, reverse=True):
-            prow = pivots[j]
-            acc = RationalFunction.from_poly(P_ZERO)
-            for t in range(nrows):
-                if t != j and not prow[t].is_zero() and not vec[t].is_zero():
-                    acc = acc + prow[t] * vec[t]
-            newval = -acc
-            if vec[j] != newval:
-                vec[j] = newval
-                changed = True
+    # the kernel's unit entries are rationals, the computed ones are in Q(z)
+    vec = [
+        x if isinstance(x, RationalFunction) else RationalFunction.constant(x)
+        for x in kernel[0]
+    ]
     den = P_ONE
     for x in vec:
-        if not x.is_zero():
+        if x:
             den = poly_lcm(den, x.den)
-    polys = [
-        P_ZERO if x.is_zero() else x.num * den.exact_div(x.den) for x in vec
-    ]
+    polys = [x.num * den.exact_div(x.den) if x else P_ZERO for x in vec]
     g = poly_gcd_list(polys)
     if g.degree() > 0:
         polys = [p.exact_div(g) for p in polys]
@@ -298,43 +269,12 @@ def _u_rows(bmat, chat, k, level):
 def _flatten_poly_row(row, width):
     out = []
     for p in row:
-        out.extend(list(p.coeffs) + [ZERO] * (width - len(p.coeffs)))
+        if len(p.coeffs) > width:
+            raise InvariantViolation(
+                "section row of degree %d exceeds the span width %d" % (p.degree(), width)
+            )
+        out.extend(p.coeffs + (ZERO,) * (width - len(p.coeffs)))
     return out
-
-
-class _RowSpan:
-    """Q-span of polynomial rows with a degree-capped flattening."""
-
-    def __init__(self, ncomp):
-        self.ncomp = ncomp
-        self.rows: list[list[Poly]] = []
-        self.width = 1
-
-    def _matrix(self, extra):
-        width = max(
-            [self.width]
-            + [p.degree() + 1 for row in ([extra] if extra else []) for p in row]
-        )
-        self.width = width
-        return [_flatten_poly_row(row, width) for row in self.rows]
-
-    def contains(self, row):
-        if all(p.is_zero() for p in row):
-            return True
-        mat = self._matrix(row)
-        target = _flatten_poly_row(row, self.width)
-        cols = len(self.rows)
-        if cols == 0:
-            return False
-        sol = linalg.solve_system(
-            ([m[i] for m in mat] for i in range(len(target))),
-            iter(target),
-            cols,
-        )
-        return sol is not None
-
-    def add(self, row):
-        self.rows.append(row)
 
 
 def _combination_vanishes(bmat, ellhat, w, level, k):
@@ -343,7 +283,10 @@ def _combination_vanishes(bmat, ellhat, w, level, k):
     Every coefficient of the combination is the constant term of an
     iterated section image; section images live in a finite-dimensional
     space of polynomial rows, so checking the constant-term functional on
-    a spanning set of the reachable rows decides vanishing.
+    a spanning set of the reachable rows decides vanishing.  The span is
+    one incremental echelon form over the degree-capped flattening: a
+    section of row . B has degree at most (deg row + deg B) / k, so rows
+    of degree at most max(deg frontier, deg B / (k - 1)) stay there.
     """
 
     def const_zero(row):
@@ -361,13 +304,14 @@ def _combination_vanishes(bmat, ellhat, w, level, k):
             for s in range(k):
                 nxt.append([cartier_poly(p, k, s) for p in row])
         frontier = nxt
-    span = _RowSpan(len(ellhat))
+    deg_b = max(p.degree() for row in bmat for p in row)
+    width = 1 + max([deg_b // (k - 1)] + [p.degree() for row in frontier for p in row])
+    span = linalg.Echelon(len(ellhat) * width)
     queue = deque()
     for row in frontier:
         if not const_zero(row):
             return False
-        if not span.contains(row):
-            span.add(row)
+        if span.add_row(_flatten_poly_row(row, width)):
             queue.append(row)
     while queue:
         row = queue.popleft()
@@ -376,8 +320,7 @@ def _combination_vanishes(bmat, ellhat, w, level, k):
             child = [cartier_poly(p, k, s) for p in shifted]
             if not const_zero(child):
                 return False
-            if not span.contains(child):
-                span.add(child)
+            if span.add_row(_flatten_poly_row(child, width)):
                 queue.append(child)
     return True
 

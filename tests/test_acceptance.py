@@ -20,7 +20,6 @@ from mahlerkit.algebra import (
 from mahlerkit.becker import (
     NOT_REGULAR,
     REGULAR,
-    becker_form_search,
     certify_irregular,
     certify_regular,
     normalize,
@@ -38,6 +37,7 @@ from mahlerkit.corpus import (
 from mahlerkit.mahler import (
     MahlerEquation,
     cartier_rational,
+    pinned_relation_search,
     pole_profile,
     solve_series,
     valuation_bound,
@@ -157,7 +157,7 @@ def test_criterion_4_family():
     assert res.ok and res.residual_order >= 200
 
     # the shifted function F/z admits the expected two-step relation
-    rel = becker_form_search(fam.F0, 2, 3, 10)
+    rel = pinned_relation_search(fam.F0, 2, 3, 10)
     assert rel == MahlerEquation(2, [P(1), P(-1), P(0, 0, 1, -1)])
 
     assert independence_check(2, deg_max=12, terms=256)
@@ -260,7 +260,7 @@ def test_criterion_6_property_suites():
     for item in build_corpus():
         norm = normalize(item.equation, item.prefix)
         g = shifted_solution(norm, item.prefix)
-        beq = becker_form_search(g, item.k, 4, 12)
+        beq = pinned_relation_search(g, item.k, 4, 12)
         if beq is None:
             # only the non-regular corpus member lacks a relation
             assert item.name == "binary_partitions"

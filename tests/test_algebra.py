@@ -5,6 +5,8 @@ import pytest
 
 from mahlerkit.algebra import (
     P_ONE,
+    RF_ONE,
+    RF_ZERO,
     Poly,
     RationalFunction,
     classify_unity_zeros,
@@ -15,7 +17,6 @@ from mahlerkit.algebra import (
     norm_over_kth_roots,
     poly_gcd,
     poly_gcd_list,
-    rat_from_str,
     rat_to_str,
 )
 
@@ -34,7 +35,6 @@ def rand_poly(rng, deg, lo=-4, hi=4):
 def test_rational_strings():
     assert rat_to_str(Fraction(3, 4)) == "3/4"
     assert rat_to_str(Fraction(-5)) == "-5"
-    assert rat_from_str("7/2") == Fraction(7, 2)
 
 
 def test_divrem_examples():
@@ -251,3 +251,10 @@ def test_rational_function_normalization():
     assert rf == RationalFunction(P(1, 1), P(2, 0, 2))
     with pytest.raises(ValueError):
         RationalFunction(P_ONE, Poly())
+
+
+def test_rational_function_truthiness():
+    # the elimination engine tests entries for zero by truthiness
+    assert not RF_ZERO and RF_ONE
+    assert not (RF_ONE - RF_ONE)
+    assert RationalFunction(P(0, 1), P(1, 1))

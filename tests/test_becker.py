@@ -15,7 +15,6 @@ from mahlerkit.becker import (
     INCONCLUSIVE,
     NOT_REGULAR,
     REGULAR,
-    becker_form_search,
     certify_irregular,
     certify_regular,
     normalize,
@@ -24,7 +23,7 @@ from mahlerkit.becker import (
     structure_decompose,
     witness_equation,
 )
-from mahlerkit.mahler import MahlerEquation, solve_series, verify
+from mahlerkit.mahler import MahlerEquation, pinned_relation_search, solve_series, verify
 from mahlerkit.regular import eval_rep, series_of_rep
 from mahlerkit.series import LaurentSeries, prefix_oracle
 
@@ -114,16 +113,16 @@ def test_normalize_invariants_random_cyclotomic_leads():
 
 def test_becker_search_trivial_and_stern():
     one = LaurentSeries.from_poly(P_ONE, 64)
-    eq = becker_form_search(one, 2, 1, 1)
+    eq = pinned_relation_search(one, 2, 1, 1)
     assert eq == MahlerEquation(2, [P(1), P(-1)])
     s = prefix_oracle("stern", 64)
-    eq = becker_form_search(s, 2, 2, 3)
+    eq = pinned_relation_search(s, 2, 2, 3)
     assert eq == MahlerEquation(2, [P(1), P(-1, -1, -1)])
 
 
 def test_becker_search_inconclusive():
     u = prefix_oracle("binary_partitions", 128)
-    assert becker_form_search(u, 2, 2, 4) is None
+    assert pinned_relation_search(u, 2, 2, 4) is None
 
 
 def test_certify_regular_examples():
@@ -203,7 +202,7 @@ def test_witness_outputs_certify_across_normalizations():
     for eq, f in cases:
         norm = normalize(eq, f)
         g = shifted_solution(norm, f)
-        beq = becker_form_search(g, eq.k, 4, 12)
+        beq = pinned_relation_search(g, eq.k, 4, 12)
         assert beq is not None
         wit = witness_equation(norm, beq)
         assert certify_regular(wit).verdict == REGULAR

@@ -4,7 +4,6 @@ import pytest
 
 from mahlerkit import jsonio
 from mahlerkit.algebra import P_ONE, Poly
-from mahlerkit.becker import becker_form_search
 from mahlerkit.corpus import (
     build_corpus,
     corpus_names,
@@ -14,7 +13,7 @@ from mahlerkit.corpus import (
     no_becker_multiple_probe,
     paradox_family,
 )
-from mahlerkit.mahler import MahlerEquation, guess, solve_series, verify
+from mahlerkit.mahler import MahlerEquation, guess, pinned_relation_search, solve_series, verify
 from mahlerkit.series import prefix_oracle
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "mahlerkit" / "data" / "corpus"
@@ -78,7 +77,7 @@ def test_no_becker_multiple_probe_defaults():
 def test_no_becker_probe_control_on_shifted_function():
     # F/z does admit a relation within the same bounds
     fam = paradox_family(2, 256)
-    eq = becker_form_search(fam.F0, 2, 3, 10)
+    eq = pinned_relation_search(fam.F0, 2, 3, 10)
     assert eq == MahlerEquation(2, [P(1), P(-1), P(0, 0, 1, -1)])
 
 

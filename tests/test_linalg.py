@@ -1,0 +1,145 @@
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from mahlerkit import jsonio
+from mahlerkit.algebra import Poly, RationalFunction
+from mahlerkit.becker import REGULAR, certify, certify_irregular, certify_regular
+from mahlerkit.linalg import Echelon, nullspace, solve_system
+from mahlerkit.regular import _poly_rows_dependence
+
+sympy = pytest.importorskip("sympy")
+
+DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "mahlerkit" / "data" / "corpus"
+Z = sympy.Symbol("z")
+
+
+def rand_matrix(rng, nrows, ncols, rank):
+    """Integer matrix of the given rank: a product of random factors,
+    with entries in -3..3 before the product."""
+    left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rank)]
+    return [
+        [Fraction(sum(left[i][t] * right[t][j] for t in range(rank))) for j in range(ncols)]
+        for i in range(nrows)
+    ]
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+def from_sympy(vec):
+    return [Fraction(int(x.p), int(x.q)) for x in vec]
+
+
+# (nrows, ncols, rank) with several rank-deficient shapes
+SHAPES = [(4, 4, 4), (4, 4, 2), (5, 3, 3), (3, 5, 3), (6, 6, 3), (5, 7, 2), (4, 4, 0)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kernel_matches_sympy_nullspace(seed):
+    rng = random.Random(seed)
+    for nrows, ncols, rank in SHAPES:
+        rows = rand_matrix(rng, nrows, ncols, rank)
+        ech = Echelon(ncols)
+        grew = [ech.add_row(row) for row in rows]
+        expected = [from_sympy(v) for v in to_sympy(rows).nullspace()]
+        assert sum(grew) == ech.rank() == to_sympy(rows).rank()
+        # both are the echelonized basis: a 1 in each free column, in order
+        assert ech.nullspace() == expected
+        assert nullspace(rows, ncols) == expected
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_solution_matches_sympy(seed):
+    rng = random.Random(100 + seed)
+    for nrows, ncols, rank in SHAPES:
+        mat = rand_matrix(rng, nrows, ncols, rank)
+        a = to_sympy(mat)
+        # a consistent right-hand side from a planted solution
+        planted = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
+        rhs = [sum((x * y for x, y in zip(row, planted)), Fraction(0)) for row in mat]
+        b = to_sympy([rhs]).T
+        x = solve_system(mat, rhs, ncols)
+        if rank == nrows == ncols:
+            assert x == from_sympy(a.LUsolve(b))
+        else:
+            # the particular solution with every free variable set to 0
+            sol, params = a.gauss_jordan_solve(b)
+            assert x == from_sympy(sol.subs({p: 0 for p in params}))
+        # an inconsistent right-hand side wherever the rank allows one
+        if rank < nrows:
+            bad = rhs[:]
+            for j in range(nrows):
+                bad[j] += 1
+                if a.row_join(to_sympy([bad]).T).rank() > rank:
+                    break
+                bad[j] -= 1
+            assert solve_system(mat, bad, ncols) is None
+
+
+def rand_poly(rng, deg):
+    return Poly([rng.randint(-2, 2) for _ in range(deg + 1)])
+
+
+def poly_to_sympy(p):
+    return sum(sympy.Rational(c.numerator, c.denominator) * Z**i for i, c in enumerate(p.coeffs))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_qz_dependence_matches_sympy(seed):
+    rng = random.Random(200 + seed)
+    for nrows, width in ((2, 2), (3, 3), (3, 4), (4, 3)):
+        # the last row is a Q[z]-combination of the others
+        rows = [[rand_poly(rng, 2) for _ in range(width)] for _ in range(nrows - 1)]
+        mults = [rand_poly(rng, 1) for _ in range(nrows - 1)]
+        last = [Poly() for _ in range(width)]
+        for m, row in zip(mults, rows):
+            last = [acc + m * p for acc, p in zip(last, row)]
+        rows.append(last)
+        dep = _poly_rows_dependence(rows)
+        mat = sympy.Matrix([[poly_to_sympy(p) for p in row] for row in rows])
+        kernel = mat.T.nullspace(simplify=True)
+        assert dep is not None and kernel
+        # the combination vanishes, and it is sympy's first kernel vector up to a factor
+        for c in range(width):
+            assert sum((q * row[c] for q, row in zip(dep, rows)), Poly()).is_zero()
+        expected = [sympy.cancel(x) for x in kernel[0]]
+        ours = [poly_to_sympy(q) for q in dep]
+        free = next(i for i, x in enumerate(ours) if x != 0)
+        for i in range(nrows):
+            assert sympy.cancel(ours[i] * expected[free] - expected[i] * ours[free]) == 0
+        # dropping the dependent row leaves rows independent over Q(z) for sympy too
+        indep = rows[:-1]
+        if sympy.Matrix([[poly_to_sympy(p) for p in row] for row in indep]).rank() == nrows - 1:
+            assert _poly_rows_dependence(indep) is None
+
+
+def test_echelon_over_rational_functions():
+    z = Poly([0, 1])
+    one = RationalFunction.from_poly(Poly([1]))
+    rz = RationalFunction.from_poly(z)
+    r1 = [one, rz]
+    r2 = [rz, rz * rz]
+    ech = Echelon(2)
+    assert ech.add_row(r1) and not ech.add_row(r2)
+    (vec,) = ech.nullspace()
+    # the free column carries the rational 1, the pivot column -z
+    assert vec[1] == 1 and vec[0] == -rz
+    assert not (r1[0] * vec[0] + r1[1] * vec[1])
+    assert not (r2[0] * vec[0] + r2[1] * vec[1])
+
+
+def test_certify_equals_the_two_step_sequence():
+    for path in sorted(DATA_DIR.glob("*.json")):
+        item = jsonio.corpus_item_from_json(jsonio.loads_strict(path.read_text()))
+        eq, f = item.equation, item.prefix
+        two_step = certify_regular(eq)
+        assert certify(eq) == two_step
+        if two_step.verdict != REGULAR:
+            two_step = certify_irregular(eq, f)
+        assert certify(eq, f) == two_step
+        assert certify(eq, f).verdict == item.expected["regularity"]
