@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .errors import InvariantViolation
 # pinned_relation_search is the Becker-form search; it stays importable from here
-from .mahler import MahlerEquation, pinned_relation_search, verify  # noqa: F401
+from .mahler import MahlerEquation, guess, pinned_relation_search, verify  # noqa: F401
 from .regular import LinearRepresentation, closure_rep
 from .series import LaurentSeries
 
@@ -238,8 +238,6 @@ def certify_irregular(
         )
     if f.is_zero():
         return Certificate(INCONCLUSIVE, note="zero series is regular")
-    from .mahler import guess  # local import to avoid a cycle at module load
-
     k = eq.k
     b0 = max(p.degree() for p in eq.coeffs)
     notes = []

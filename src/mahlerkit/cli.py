@@ -378,8 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("rep-eval", cmd_rep_eval, help="evaluate a linear representation")
     p.add_argument("representation")
-    p.add_argument("--n", type=int)
-    p.add_argument("--count", type=int)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--n", type=int)
+    which.add_argument("--count", type=int)
 
     p = add("rep-from-eq", cmd_rep_from_eq, help="build a representation by section closure")
     p.add_argument("equation")

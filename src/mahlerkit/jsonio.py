@@ -120,7 +120,11 @@ def rep_from_json(doc) -> LinearRepresentation:
     col = doc.get("col")
     mats = doc.get("matrices")
     _expect(isinstance(row, list) and isinstance(col, list), "row/col must be arrays")
-    _expect(isinstance(mats, list), "matrices must be an array")
+    _expect(
+        isinstance(mats, list)
+        and all(isinstance(m, list) and all(isinstance(r, list) for r in m) for m in mats),
+        "matrices must be an array of arrays of rows",
+    )
     return LinearRepresentation(
         k,
         dim,
@@ -150,7 +154,10 @@ def normalization_to_json(norm: BeckerNormalization) -> dict:
 def normalization_from_json(doc) -> BeckerNormalization:
     _expect(isinstance(doc, dict), "normalization must be an object")
     set_a = doc.get("set_A")
-    _expect(isinstance(set_a, list), "set_A must be an array of [order, multiplicity]")
+    _expect(
+        isinstance(set_a, list) and all(isinstance(p, list) and len(p) == 2 for p in set_a),
+        "set_A must be an array of [order, multiplicity]",
+    )
     return BeckerNormalization(
         set_a=tuple((_int(n, "order"), _int(e, "multiplicity")) for n, e in set_a),
         N=_int(doc.get("N"), "N"),
@@ -208,9 +215,11 @@ def _expected_to_json(expected: dict) -> dict:
 
 
 def _expected_from_json(doc) -> dict:
+    _expect(isinstance(doc, dict), "expected must be an object")
+    _expect(isinstance(doc.get("normalization"), dict), "expected normalization must be an object")
     out = dict(doc)
     norm = dict(out["normalization"])
-    norm["Q"] = poly_from_json(norm["Q"])
+    norm["Q"] = poly_from_json(norm.get("Q"))
     out["normalization"] = norm
     return out
 

@@ -229,61 +229,35 @@ def solve_series(eq: MahlerEquation, order: int) -> list[LaurentSeries]:
 # -- guessing equations from prefixes --------------------------------------
 
 
-def _relation_nullspace(f: LaurentSeries, k: int, d: int, bound: int, pinned_a0: bool):
-    """Kernel of the map sending coefficient arrays (a_{i,j}) to the prefix
-    of sum_ij a_{i,j} z^j F(z^(k^i)).  With pinned_a0 the a_0 block is the
-    constant 1 and the system becomes inhomogeneous."""
-    i_lo = 1 if pinned_a0 else 0
-    cols = [(i, j) for i in range(i_lo, d + 1) for j in range(bound + 1)]
-    col_of = {ij: t for t, ij in enumerate(cols)}
-    v = f.valuation
-    m_min = min(k**i * v for i in range(d + 1))
-    ech = linalg.Echelon(len(cols))
+def _check_prefix(f: LaurentSeries, d_max: int, b_max: int, margin: int) -> None:
+    length = f.order - f.valuation
+    if length < (d_max + 1) * (b_max + 1) + margin:
+        raise ValueError(
+            "insufficient prefix length %d for bounds (%d, %d) plus margin %d"
+            % (length, d_max, b_max, margin)
+        )
+
+
+def _relation_rows(f: LaurentSeries, k: int, cols):
+    """Nonzero rows, by increasing exponent m, of the map sending the
+    unknowns a_{i,j} at cols to the prefix of sum a_{i,j} z^j F(z^(k^i))."""
+    m_min = min(k**i * f.valuation for i, _ in cols)
+    terms = [(k**i, j) for i, j in cols]
     for m in range(m_min, f.order):
         row = [ZERO] * len(cols)
-        nonzero = False
-        for i in range(i_lo, d + 1):
-            kp = k**i
-            for j in range(bound + 1):
-                t = m - j
-                if t % kp:
-                    continue
-                n = t // kp
-                if n < f.valuation or n >= f.order:
-                    continue
-                c = f.coefficient(n)
-                if c != 0:
-                    row[col_of[(i, j)]] = c
-                    nonzero = True
-        rhs = ZERO
-        if pinned_a0:
-            # move the F(z) term to the right-hand side
-            if f.valuation <= m < f.order:
-                rhs = f.coefficient(m)
-                nonzero = nonzero or rhs != 0
-        if nonzero:
-            ech.add_row(row, rhs)
-            if pinned_a0 and ech.inconsistent:
-                return None, cols
-            if not pinned_a0 and ech.full_column_rank():
-                return [], cols
-    if pinned_a0:
-        return ech.solution(), cols
-    return ech.nullspace(), cols
+        for t, (kp, j) in enumerate(terms):
+            n, r = divmod(m - j, kp)
+            if not r and f.valuation <= n < f.order:
+                row[t] = f.coefficient(n)
+        if any(row):
+            yield row
 
 
-def _vector_to_polys(vec, cols, d: int, bound: int, pinned_a0: bool) -> list[Poly]:
-    polys = []
-    if pinned_a0:
-        polys.append(P_ONE)
-    i_lo = 1 if pinned_a0 else 0
-    for i in range(i_lo, d + 1):
-        cs = [ZERO] * (bound + 1)
-        for t, (ii, j) in enumerate(cols):
-            if ii == i:
-                cs[j] = vec[t]
-        polys.append(Poly(cs))
-    return polys
+def _vector_to_polys(vec, cols, d: int, bound: int) -> list[Poly]:
+    cs = [[ZERO] * (bound + 1) for _ in range(d + 1)]
+    for x, (i, j) in zip(vec, cols):
+        cs[i][j] = x
+    return [Poly(c) for c in cs]
 
 
 def guess(
@@ -293,18 +267,13 @@ def guess(
     whole known prefix of f satisfies; None when no such relation exists
     within the bounds.  The prefix must exceed the unknown count by the
     verification margin."""
-    length = f.order - f.valuation
-    if length < (d_max + 1) * (b_max + 1) + margin:
-        raise ValueError(
-            "insufficient prefix length %d for bounds (%d, %d) plus margin %d"
-            % (length, d_max, b_max, margin)
-        )
+    _check_prefix(f, d_max, b_max, margin)
     for d in range(1, d_max + 1):
         for bound in range(b_max + 1):
-            vectors, cols = _relation_nullspace(f, k, d, bound, pinned_a0=False)
+            cols = [(i, j) for i in range(d + 1) for j in range(bound + 1)]
             candidates = []
-            for vec in vectors:
-                polys = _vector_to_polys(vec, cols, d, bound, pinned_a0=False)
+            for vec in linalg.nullspace(_relation_rows(f, k, cols), len(cols)):
+                polys = _vector_to_polys(vec, cols, d, bound)
                 if polys[0].is_zero() or polys[-1].is_zero():
                     continue
                 eq = MahlerEquation(k, polys).primitive()
@@ -327,23 +296,19 @@ def pinned_relation_search(
     Depth is minimized first; one solve at the full degree bound decides
     whether a given depth works at all, after which the degree is
     minimized.  Returns the equation with a_0 = 1, or None."""
-    length = f.order - f.valuation
-    if length < (depth_max + 1) * (deg_max + 1) + margin:
-        raise ValueError(
-            "insufficient prefix length %d for bounds (%d, %d) plus margin %d"
-            % (length, depth_max, deg_max, margin)
-        )
+    _check_prefix(f, depth_max, deg_max, margin)
 
     def attempt(depth, bound):
-        vec, cols = _relation_nullspace(f, k, depth, bound, pinned_a0=True)
+        # a_0's constant column goes last, where affine_solution puts its 1
+        cols = [(i, j) for i in range(1, depth + 1) for j in range(bound + 1)] + [(0, 0)]
+        vec = linalg.affine_solution(_relation_rows(f, k, cols), len(cols))
         if vec is None:
             return None
-        polys = _vector_to_polys(vec, cols, depth, bound, pinned_a0=True)
-        bs = polys[1:]
-        if bs[-1].is_zero():
+        polys = _vector_to_polys(vec, cols, depth, bound)
+        if polys[-1].is_zero():
             # a depth-(D-1) relation would have been found earlier
             return None
-        return MahlerEquation(k, [P_ONE] + [-b for b in bs])
+        return MahlerEquation(k, polys)
 
     for depth in range(1, depth_max + 1):
         hit = attempt(depth, deg_max)

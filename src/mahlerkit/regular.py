@@ -121,11 +121,9 @@ def _coordinates_in_span(basis, w):
     """Rational coordinates of w in the span of basis vectors, or None."""
     if w.is_zero():
         return [ZERO] * len(basis)
-    rows = _linearize(list(basis) + [w])
-    nb = len(basis)
-    return linalg.solve_system(
-        (row[:nb] for row in rows), (row[nb] for row in rows), nb
-    )
+    # w = sum x_l basis[l] exactly when (-x, 1) is in the kernel of [basis | w]
+    v = linalg.affine_solution(_linearize(list(basis) + [w]), len(basis) + 1)
+    return None if v is None else [-x for x in v[:-1]]
 
 
 def closure_rep(

@@ -27,11 +27,9 @@ class LaurentSeries:
                 "coefficient window [%d, %d) needs %d entries, got %d"
                 % (valuation, order, order - valuation, len(cs))
             )
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            valuation += 1
-        self.valuation = valuation
-        self.coeffs = tuple(cs)
+        lead = next((i for i, c in enumerate(cs) if c != 0), len(cs))
+        self.valuation = valuation + lead
+        self.coeffs = tuple(cs[lead:])
         self.order = order
 
     @classmethod

@@ -212,6 +212,59 @@ def test_cli_exit_codes():
     assert proc.returncode == 3
 
 
+def test_cli_rep_eval_needs_exactly_one_of_n_and_count():
+    rep = json.dumps({"k": 2, "dim": 1, "row": ["1"], "matrices": [[["1"]], [["-1"]]], "col": ["1"]})
+    for extra in ((), ("--n", "3", "--count", "4")):
+        proc = run_cli("rep-eval", rep, *extra)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def _golden(name):
+    return json.loads((Path(__file__).resolve().parents[1] / "src" / "mahlerkit" / "data" / "corpus" / (name + ".json")).read_text())
+
+
+def _without(doc, *path):
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    del inner[path[-1]]
+    return doc
+
+
+NORM_DOC = {
+    "set_A": [1],
+    "N": 1,
+    "gamma": 0,
+    "c": "1",
+    "Q": ["1"],
+    "P": ["1"],
+    "h": ["1"],
+    "a": ["1"],
+    "new_eq": {"k": 2, "coeffs": [["1"], ["-1"]]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("rep-eval", {"k": 2, "dim": 1, "row": ["1"], "matrices": [1, 2], "col": ["1"]}),
+        ("roundtrip", {"k": 2, "dim": 1, "row": ["1"], "matrices": [[1], [["1"]]], "col": ["1"]}),
+        ("roundtrip", NORM_DOC),
+        ("roundtrip", _without(_golden("thue_morse"), "expected")),
+        ("roundtrip", _without(_golden("thue_morse"), "expected", "normalization")),
+        ("roundtrip", _without(_golden("thue_morse"), "expected", "normalization", "Q")),
+    ],
+    ids=["matrix-not-array", "matrix-row-not-array", "set-A-entry-not-pair", "no-expected", "no-normalization", "no-Q"],
+)
+def test_cli_malformed_nested_shapes_exit_3(command, doc):
+    extra = ("--n", "3") if command == "rep-eval" else ()
+    proc = run_cli(command, json.dumps(doc), *extra)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr and "input error" in proc.stderr
+
+
 def test_cli_stdin_input():
     proc = run_cli("--format", "json", "solve", "-", "--order", "8", stdin=TM_EQ_JSON)
     assert proc.returncode == 0

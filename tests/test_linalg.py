@@ -7,8 +7,10 @@ import pytest
 from mahlerkit import jsonio
 from mahlerkit.algebra import Poly, RationalFunction
 from mahlerkit.becker import REGULAR, certify, certify_irregular, certify_regular
-from mahlerkit.linalg import Echelon, nullspace, solve_system
+from mahlerkit.linalg import Echelon, affine_solution, nullspace
+from mahlerkit.mahler import MahlerEquation, _relation_rows, solve_series
 from mahlerkit.regular import _poly_rows_dependence
+from mahlerkit.series import prefix_oracle
 
 sympy = pytest.importorskip("sympy")
 
@@ -51,6 +53,12 @@ def test_kernel_matches_sympy_nullspace(seed):
         # both are the echelonized basis: a 1 in each free column, in order
         assert ech.nullspace() == expected
         assert nullspace(rows, ncols) == expected
+
+
+def solve_system(mat, rhs, ncols):
+    """A x = b through the kernel of [A | -b]: x is the vector before its 1."""
+    v = affine_solution([row + [-b] for row, b in zip(mat, rhs)], ncols + 1)
+    return None if v is None else v[:-1]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -143,3 +151,51 @@ def test_certify_equals_the_two_step_sequence():
             two_step = certify_irregular(eq, f)
         assert certify(eq, f) == two_step
         assert certify(eq, f).verdict == item.expected["regularity"]
+
+
+def seeded_becker_series(seed, order):
+    """The solution with f(0) = 1 of f = b_1(z) f(z^3) + b_2(z) f(z^9) for
+    seeded b_1, b_2 with b_1(0) + b_2(0) = 1."""
+    rng = random.Random(seed)
+    b1 = Poly([1] + [rng.randint(-2, 2) for _ in range(2)])
+    b2 = Poly([0, rng.randint(-2, 2), rng.choice((-1, 1))])
+    (f,) = solve_series(MahlerEquation(3, [Poly([1]), -b1, -b2]), order)
+    return f, 3
+
+
+def sympy_becker_solution(f, k, depth, bound):
+    """f + sum a_{i,j} z^j f(z^(k^i)) = 0 mod z^order solved by sympy from
+    f's coefficients alone, free parameters set to 0; None when inconsistent."""
+    unknowns = [sympy.Symbol("a_%d_%d" % (i, j)) for i in range(1, depth + 1) for j in range(bound + 1)]
+    terms = {}
+    for n in range(f.valuation, f.order):
+        x = f.coefficient(n)
+        c = sympy.Rational(x.numerator, x.denominator)
+        terms[n] = terms.get(n, 0) + c
+        for t, a in enumerate(unknowns):
+            i, j = 1 + t // (bound + 1), t % (bound + 1)
+            m = n * k**i + j
+            if m < f.order:
+                terms[m] = terms.get(m, 0) + c * a
+    eqs = [e for e in terms.values() if e != 0]
+    a, b = sympy.linear_eq_to_matrix(eqs, unknowns)
+    try:
+        sol, params = a.gauss_jordan_solve(b)
+    except ValueError:
+        return None
+    return from_sympy(sol.subs({p: 0 for p in params}))
+
+
+@pytest.mark.parametrize(
+    "name, depth, bound",
+    [("thue_morse", 1, 0), ("thue_morse", 1, 1), ("thue_morse", 2, 4), ("stern", 2, 5), ("seeded", 2, 3), ("seeded", 3, 4)],
+)
+def test_becker_system_matches_sympy(name, depth, bound):
+    f, k = seeded_becker_series(7, 48) if name == "seeded" else (prefix_oracle(name, 48), 2)
+    expected = sympy_becker_solution(f, k, depth, bound)
+    cols = [(i, j) for i in range(1, depth + 1) for j in range(bound + 1)] + [(0, 0)]
+    vec = affine_solution(_relation_rows(f, k, cols), len(cols))
+    if expected is None:
+        assert vec is None
+    else:
+        assert vec == expected + [1]
