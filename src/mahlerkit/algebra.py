@@ -347,12 +347,6 @@ class CyclotomicProfile:
             p = p * cyclotomic(n) ** e
         return p
 
-    def multiplicity(self, n: int) -> int:
-        for m, e in self.cyclo:
-            if m == n:
-                return e
-        return 0
-
 
 def cyclotomic_profile(p: Poly) -> CyclotomicProfile:
     """Detect every cyclotomic factor of p with exact multiplicity.

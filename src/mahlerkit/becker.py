@@ -98,14 +98,10 @@ def _inverse_orbit_product(nprime: int, w_power: int) -> Poly:
     return out.scale(unit)
 
 
-def normalize(eq: MahlerEquation, f: LaurentSeries | None = None) -> BeckerNormalization:
+def normalize(eq: MahlerEquation) -> BeckerNormalization:
     """Remove the set-A zeros of a_0 and the z-power, producing the shifted
-    equation for G = F / (z^gamma Q).
-
-    When a solution prefix f is supplied, the construction is checked end
-    to end: G is expanded and must satisfy the new equation to the
-    propagated order.
-    """
+    equation for G = F / (z^gamma Q).  shifted_solution checks the
+    construction on a solution prefix."""
     k = eq.k
     a0 = eq.coeffs[0]
     prof = cyclotomic_profile(a0)
@@ -147,7 +143,7 @@ def normalize(eq: MahlerEquation, f: LaurentSeries | None = None) -> BeckerNorma
     if classify_unity_zeros(cyclotomic_profile(q0), k).set_a:
         raise InvariantViolation("new leading coefficient still has set-A zeros")
 
-    norm = BeckerNormalization(
+    return BeckerNormalization(
         set_a=set_a,
         N=n_stab,
         gamma=gamma,
@@ -158,24 +154,22 @@ def normalize(eq: MahlerEquation, f: LaurentSeries | None = None) -> BeckerNorma
         a=a_part,
         new_eq=new_eq,
     )
-    if f is not None:
-        check = verify(eq, f)
-        if not check.ok:
-            raise ValueError(
-                "series does not solve the input equation (residual at %d)"
-                % check.residual_order
-            )
-        g = shifted_solution(norm, f)
-        gcheck = verify(new_eq, g)
-        if not gcheck.ok:
-            raise InvariantViolation("G = F/(z^gamma Q) fails the new equation")
-    return norm
 
 
-def shifted_solution(norm: BeckerNormalization, f: LaurentSeries) -> LaurentSeries:
-    """Expand G = F / (z^gamma Q) from a prefix of F."""
+def shifted_solution(eq: MahlerEquation, norm: BeckerNormalization, f: LaurentSeries) -> LaurentSeries:
+    """Expand G = F / (z^gamma Q) from a prefix of F, checked end to end:
+    f must solve eq (ValueError otherwise), and G must satisfy the new
+    equation to the propagated order (InvariantViolation otherwise)."""
+    check = verify(eq, f)
+    if not check.ok:
+        raise ValueError(
+            "series does not solve the input equation (residual at %d)" % check.residual_order
+        )
     qinv = LaurentSeries.from_poly(norm.Q, f.order + 1).invert()
-    return (f * qinv).shift(-norm.gamma)
+    g = (f * qinv).shift(-norm.gamma)
+    if not verify(norm.new_eq, g).ok:
+        raise InvariantViolation("G = F/(z^gamma Q) fails the new equation")
+    return g
 
 
 def certify_regular(eq: MahlerEquation) -> Certificate:

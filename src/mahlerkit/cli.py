@@ -73,6 +73,18 @@ def _emit(args, doc, text_lines):
     return 0
 
 
+def _series_or_unique_solution(args, eq):
+    """The --series input, or else the one Laurent solution of eq."""
+    if args.series:
+        return _read_series(args.series)
+    basis = solve_series(eq, args.order)
+    if len(basis) != 1:
+        raise ValueError(
+            "solution space has dimension %d; supply --series to pick one" % len(basis)
+        )
+    return basis[0]
+
+
 def _series_text(s):
     return "valuation %d, order %d: %s" % (
         s.valuation,
@@ -146,15 +158,7 @@ def cmd_rep_eval(args):
 
 def cmd_rep_from_eq(args):
     eq = _read_equation(args.equation, args.k)
-    if args.series:
-        f = _read_series(args.series)
-    else:
-        basis = solve_series(eq, args.order)
-        if len(basis) != 1:
-            raise ValueError(
-                "solution space has dimension %d; supply --series to pick one" % len(basis)
-            )
-        f = basis[0]
+    f = _series_or_unique_solution(args, eq)
     rep = closure_rep(eq, f, max_dim=args.max_dim, max_depth=args.max_depth)
     if rep is None:
         return (
@@ -173,7 +177,9 @@ def cmd_eq_from_rep(args):
 def cmd_normalize(args):
     eq = _read_equation(args.equation, args.k)
     f = _read_series(args.series) if args.series else None
-    norm = normalize(eq, f)
+    norm = normalize(eq)
+    if f is not None:
+        shifted_solution(eq, norm, f)  # for its checks; G is not printed
     lines = [
         "gamma = %d, N = %d, c = %s" % (norm.gamma, norm.N, rat_to_str(norm.c)),
         "Q = %r, P = %r, h = %r" % (norm.Q, norm.P, norm.h),
@@ -296,20 +302,12 @@ def cmd_pipeline(args):
         eq = _read_equation(args.equation, args.k)
         report = {"equation": jsonio.equation_to_json(eq)}
         stage = "solve"
-        if args.series:
-            f = _read_series(args.series)
-        else:
-            basis = solve_series(eq, args.order)
-            if len(basis) != 1:
-                raise ValueError(
-                    "solution space has dimension %d; supply --series" % len(basis)
-                )
-            f = basis[0]
+        f = _series_or_unique_solution(args, eq)
         report["solution"] = jsonio.series_to_json(f)
         stage = "normalize"
-        norm = normalize(eq, f)
+        norm = normalize(eq)
+        g = shifted_solution(eq, norm, f)
         report["normalization"] = jsonio.normalization_to_json(norm)
-        g = shifted_solution(norm, f)
         stage = "becker-search"
         becker_eq = pinned_relation_search(g, eq.k, args.depth_max, args.deg_max)
         if becker_eq is None:

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 
 from .algebra import Poly, rat_to_str
-from .becker import BeckerNormalization, Certificate
+from .becker import INCONCLUSIVE, NOT_REGULAR, REGULAR, BeckerNormalization, Certificate
 from .corpus import CorpusItem
 from .mahler import MahlerEquation
 from .regular import LinearRepresentation
@@ -190,13 +190,17 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 def certificate_from_json(doc) -> Certificate:
     _expect(isinstance(doc, dict), "certificate must be an object")
-    _expect(isinstance(doc.get("verdict"), str), "verdict must be a string")
+    verdicts = (REGULAR, NOT_REGULAR, INCONCLUSIVE)
+    _expect(doc.get("verdict") in verdicts, "verdict must be one of %s" % ", ".join(verdicts))
+    for key in ("proposition", "minimality", "note"):
+        _expect(isinstance(doc.get(key, ""), str), "%s must be a string" % key)
+    order, m = (_int(doc[key], key) if key in doc else None for key in ("order", "M"))
     eq = doc.get("equation")
     return Certificate(
         verdict=doc["verdict"],
         proposition=doc.get("proposition"),
-        order=doc.get("order"),
-        M=doc.get("M"),
+        order=order,
+        M=m,
         equation=equation_from_json(eq) if eq is not None else None,
         minimality=doc.get("minimality"),
         note=doc.get("note", ""),

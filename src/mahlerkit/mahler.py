@@ -229,7 +229,9 @@ def solve_series(eq: MahlerEquation, order: int) -> list[LaurentSeries]:
 # -- guessing equations from prefixes --------------------------------------
 
 
-def _check_prefix(f: LaurentSeries, d_max: int, b_max: int, margin: int) -> None:
+def _check_prefix(f: LaurentSeries, k: int, d_max: int, b_max: int, margin: int) -> None:
+    if k < 2:
+        raise ValueError("base k must be >= 2")
     length = f.order - f.valuation
     if length < (d_max + 1) * (b_max + 1) + margin:
         raise ValueError(
@@ -267,7 +269,7 @@ def guess(
     whole known prefix of f satisfies; None when no such relation exists
     within the bounds.  The prefix must exceed the unknown count by the
     verification margin."""
-    _check_prefix(f, d_max, b_max, margin)
+    _check_prefix(f, k, d_max, b_max, margin)
     for d in range(1, d_max + 1):
         for bound in range(b_max + 1):
             cols = [(i, j) for i in range(d + 1) for j in range(bound + 1)]
@@ -296,7 +298,7 @@ def pinned_relation_search(
     Depth is minimized first; one solve at the full degree bound decides
     whether a given depth works at all, after which the degree is
     minimized.  Returns the equation with a_0 = 1, or None."""
-    _check_prefix(f, depth_max, deg_max, margin)
+    _check_prefix(f, k, depth_max, deg_max, margin)
 
     def attempt(depth, bound):
         # a_0's constant column goes last, where affine_solution puts its 1

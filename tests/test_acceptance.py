@@ -122,14 +122,14 @@ def test_criterion_2_regularity_split():
 @criterion("criterion 3 (normalization worked example, exact)")
 def test_criterion_3_normalization_worked_example():
     f = LaurentSeries.from_poly(P(1, -1), 64)
-    norm = normalize(ONE_PLUS_Z_EQ, f)
+    norm = normalize(ONE_PLUS_Z_EQ)
     assert norm.Q == P(1, -1)
     assert norm.P == P(1, 1)
     assert norm.h == P_ONE
     assert norm.N == 1
     assert norm.gamma == 0
     assert norm.new_eq == MahlerEquation(2, [P(1), P(-1)])
-    g = shifted_solution(norm, f)
+    g = shifted_solution(ONE_PLUS_Z_EQ, norm, f)
     assert g.valuation == 0 and g.coefficient_list(0, 32) == [1] + [0] * 31
     assert norm.Q.substitute_power(2) == norm.Q * norm.P * norm.h
 
@@ -150,9 +150,9 @@ def test_criterion_4_family():
     assert series_of_rep(rep, 64).coefficient_list(0, 64) == f.coefficient_list(0, 64)
 
     # normalization of the induced equation and its relation for G
-    norm = normalize(induced, f)
+    norm = normalize(induced)
     assert norm.gamma == 3 and norm.Q == P_ONE
-    g = shifted_solution(norm, f)
+    g = shifted_solution(induced, norm, f)
     res = verify(norm.new_eq, g)
     assert res.ok and res.residual_order >= 200
 
@@ -258,8 +258,8 @@ def test_criterion_6_property_suites():
 
     # witness equations always pass the regularity certificate
     for item in build_corpus():
-        norm = normalize(item.equation, item.prefix)
-        g = shifted_solution(norm, item.prefix)
+        norm = normalize(item.equation)
+        g = shifted_solution(item.equation, norm, item.prefix)
         beq = pinned_relation_search(g, item.k, 4, 12)
         if beq is None:
             # only the non-regular corpus member lacks a relation

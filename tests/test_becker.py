@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -23,6 +24,7 @@ from mahlerkit.becker import (
     structure_decompose,
     witness_equation,
 )
+from mahlerkit.errors import InvariantViolation
 from mahlerkit.mahler import MahlerEquation, pinned_relation_search, solve_series, verify
 from mahlerkit.regular import eval_rep, series_of_rep
 from mahlerkit.series import LaurentSeries, prefix_oracle
@@ -40,7 +42,7 @@ INDUCED_EQ = MahlerEquation(2, [P(0, 0, 0, 1), P(0, 0, -1), P(0, 0, 1, -1)])
 
 def test_normalize_worked_example():
     f = LaurentSeries.from_poly(P(1, -1), 64)
-    norm = normalize(ONE_PLUS_Z_EQ, f)
+    norm = normalize(ONE_PLUS_Z_EQ)
     assert norm.set_a == ((2, 1),)
     assert norm.N == 1
     assert norm.gamma == 0
@@ -51,8 +53,18 @@ def test_normalize_worked_example():
     assert norm.new_eq == MahlerEquation(2, [P(1), P(-1)])
     # Q(z^2) = Q(z) P(z) h(z) exactly
     assert norm.Q.substitute_power(2) == norm.Q * norm.P * norm.h
-    g = shifted_solution(norm, f)
+    g = shifted_solution(ONE_PLUS_Z_EQ, norm, f)
     assert g.coefficient_list(0, 8) == [1, 0, 0, 0, 0, 0, 0, 0]
+
+
+def test_shifted_solution_checks_f_and_g():
+    norm = normalize(ONE_PLUS_Z_EQ)
+    with pytest.raises(ValueError, match="does not solve the input equation"):
+        shifted_solution(ONE_PLUS_Z_EQ, norm, prefix_oracle("stern", 64))
+    # a normalization whose Q does not match its new equation
+    f = LaurentSeries.from_poly(P(1, -1), 64)
+    with pytest.raises(InvariantViolation):
+        shifted_solution(ONE_PLUS_Z_EQ, dataclasses.replace(norm, Q=P_ONE), f)
 
 
 def test_normalize_z_power_only():
@@ -168,7 +180,8 @@ def test_witness_examples():
     # gamma = 0, Q = 1 - z, G - G(z^2) = 0 pulls back to
     # (1 - z^2) F - (1 - z) F(z^2) = 0
     f = LaurentSeries.from_poly(P(1, -1), 64)
-    norm = normalize(ONE_PLUS_Z_EQ, f)
+    norm = normalize(ONE_PLUS_Z_EQ)
+    shifted_solution(ONE_PLUS_Z_EQ, norm, f)  # checks F and G
     wit = witness_equation(norm, MahlerEquation(2, [P(1), P(-1)]))
     assert wit == MahlerEquation(2, [P(1, 0, -1), P(-1, 1)])
     assert certify_regular(wit).verdict == REGULAR
@@ -200,8 +213,8 @@ def test_witness_outputs_certify_across_normalizations():
         (MahlerEquation(2, [P(1), P(-1, -1, -1)]), prefix_oracle("stern", 200)),
     ]
     for eq, f in cases:
-        norm = normalize(eq, f)
-        g = shifted_solution(norm, f)
+        norm = normalize(eq)
+        g = shifted_solution(eq, norm, f)
         beq = pinned_relation_search(g, eq.k, 4, 12)
         assert beq is not None
         wit = witness_equation(norm, beq)

@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from mahlerkit import jsonio
+from mahlerkit import cli, jsonio
 from mahlerkit.algebra import Poly, RationalFunction
 from mahlerkit.becker import Certificate, normalize
 from mahlerkit.mahler import MahlerEquation
@@ -17,14 +18,21 @@ U_EQ_JSON = json.dumps({"k": 2, "coeffs": [["1", "-1"], ["-1"]]})
 OPZ_EQ_JSON = json.dumps({"k": 2, "coeffs": [["1", "1"], ["-1"]]})
 
 
-def run_cli(*args, stdin=None):
-    proc = subprocess.run(
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_cli(*args, stdin=None, **env):
+    """`python -m mahlerkit ARGS` on this checkout's sources, with the
+    environment variables in env added."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
         [sys.executable, "-m", "mahlerkit", *args],
         capture_output=True,
         text=True,
         input=stdin,
+        env=env,
     )
-    return proc
 
 
 def run_json(*args, stdin=None):
@@ -255,14 +263,41 @@ NORM_DOC = {
         ("roundtrip", _without(_golden("thue_morse"), "expected")),
         ("roundtrip", _without(_golden("thue_morse"), "expected", "normalization")),
         ("roundtrip", _without(_golden("thue_morse"), "expected", "normalization", "Q")),
+        ("roundtrip", {"verdict": "MAYBE"}),
+        ("roundtrip", {"verdict": "REGULAR", "M": "x"}),
+        ("roundtrip", {"verdict": "REGULAR", "order": True}),
+        ("roundtrip", {"verdict": "REGULAR", "minimality": [1]}),
     ],
-    ids=["matrix-not-array", "matrix-row-not-array", "set-A-entry-not-pair", "no-expected", "no-normalization", "no-Q"],
+    ids=[
+        "matrix-not-array",
+        "matrix-row-not-array",
+        "set-A-entry-not-pair",
+        "no-expected",
+        "no-normalization",
+        "no-Q",
+        "unknown-verdict",
+        "M-not-integer",
+        "order-boolean",
+        "minimality-not-string",
+    ],
 )
 def test_cli_malformed_nested_shapes_exit_3(command, doc):
     extra = ("--n", "3") if command == "rep-eval" else ()
     proc = run_cli(command, json.dumps(doc), *extra)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr and "input error" in proc.stderr
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+@pytest.mark.parametrize(
+    "command, bounds",
+    [("guess", ()), ("becker-search", ("--depth-max", "1", "--deg-max", "2"))],
+    ids=["guess", "becker-search"],
+)
+def test_cli_searches_reject_base_below_2(command, bounds, k):
+    proc = run_cli(command, series_json(prefix_oracle("stern", 64)), "--k", k, *bounds)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr and "base k must be >= 2" in proc.stderr
 
 
 def test_cli_stdin_input():
@@ -318,29 +353,38 @@ def test_cli_pipeline_demands_series_when_ambiguous():
     assert "supply --series" in proc.stderr
 
 
-def test_cli_env_var_default_bounds():
-    import os
+def test_cli_normalize_and_pipeline_reject_a_non_solution():
+    bad = series_json(prefix_oracle("stern", 64))
+    proc = run_cli("normalize", OPZ_EQ_JSON, "--series", bad)
+    assert proc.returncode == 3, proc.stderr
+    proc = run_cli("pipeline", OPZ_EQ_JSON, "--series", bad)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("[normalize] input error: series does not solve the input equation")
 
+
+def test_cli_pipeline_expands_g_once(monkeypatch, capsys):
+    calls = []
+    invert = LaurentSeries.invert
+
+    def counted(self):
+        calls.append(self)
+        return invert(self)
+
+    monkeypatch.setattr(LaurentSeries, "invert", counted)
+    prefix = series_json(LaurentSeries.from_poly(Poly([1, -1]), 256))
+    assert cli.main(["--format", "json", "pipeline", OPZ_EQ_JSON, "--series", prefix]) == 0
+    assert json.loads(capsys.readouterr().out)["becker"]["verdict"] == "FOUND"
+    assert len(calls) == 1
+
+
+def test_cli_env_var_default_bounds():
     g = series_json(prefix_oracle("stern", 64))
-    env = dict(os.environ, MAHLERKIT_DEG_MAX="0", MAHLERKIT_DEPTH_MAX="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "mahlerkit", "--format", "json", "becker-search", g, "--k", "2"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    env = {"MAHLERKIT_DEG_MAX": "0", "MAHLERKIT_DEPTH_MAX": "1"}
+    proc = run_cli("--format", "json", "becker-search", g, "--k", "2", **env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "INCONCLUSIVE"
     # explicit flags override the environment defaults
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "mahlerkit", "--format", "json",
-            "becker-search", g, "--k", "2", "--deg-max", "2",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = run_cli("--format", "json", "becker-search", g, "--k", "2", "--deg-max", "2", **env)
     assert json.loads(proc.stdout)["verdict"] == "FOUND"
 
 
