@@ -209,7 +209,6 @@ class Poly:
 
 P_ZERO = Poly()
 P_ONE = Poly([1])
-P_Z = Poly([0, 1])
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:

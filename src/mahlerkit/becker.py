@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .errors import InvariantViolation
 # pinned_relation_search is the Becker-form search; it stays importable from here
-from .mahler import MahlerEquation, guess, pinned_relation_search, verify  # noqa: F401
+from .mahler import MahlerEquation, guess, pinned_relation_search, require_solution, verify  # noqa: F401
 from .regular import LinearRepresentation, closure_rep
 from .series import LaurentSeries
 
@@ -160,12 +160,9 @@ def shifted_solution(eq: MahlerEquation, norm: BeckerNormalization, f: LaurentSe
     """Expand G = F / (z^gamma Q) from a prefix of F, checked end to end:
     f must solve eq (ValueError otherwise), and G must satisfy the new
     equation to the propagated order (InvariantViolation otherwise)."""
-    check = verify(eq, f)
-    if not check.ok:
-        raise ValueError(
-            "series does not solve the input equation (residual at %d)" % check.residual_order
-        )
-    qinv = LaurentSeries.from_poly(norm.Q, f.order + 1).invert()
+    require_solution(eq, f)
+    # 1/Q is needed only as far as F's window reaches
+    qinv = LaurentSeries.from_poly(norm.Q, f.order - max(f.valuation, 0) + 1).invert()
     g = (f * qinv).shift(-norm.gamma)
     if not verify(norm.new_eq, g).ok:
         raise InvariantViolation("G = F/(z^gamma Q) fails the new equation")
@@ -225,11 +222,7 @@ def certify_irregular(
     holds up to the recorded search bounds; failure to certify anything
     is INCONCLUSIVE, never a claim of regularity.
     """
-    check = verify(eq, f)
-    if not check.ok:
-        raise ValueError(
-            "series does not solve the equation (residual at %d)" % check.residual_order
-        )
+    require_solution(eq, f)
     if f.is_zero():
         return Certificate(INCONCLUSIVE, note="zero series is regular")
     k = eq.k
@@ -338,7 +331,8 @@ def structure_decompose(
     unit_part = a0.shift(-delta)
     rho = unit_part.constant()
     gamma_poly = unit_part.scale(1 / rho)
-    order = f.order
+    # the product is needed only as far as F's window reaches
+    order = f.order - max(f.valuation, 0)
     j = 0
     prod = LaurentSeries.from_poly(P_ONE, max(order, 1))
     while eq.k**j < order:

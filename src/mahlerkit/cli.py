@@ -30,16 +30,15 @@ from .regular import closure_rep, eval_rep, rep_to_equation
 from .series import cartier
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw else default
-
-
 def _defaults():
+    """Search-bound defaults, overridable through the environment.  They stay
+    strings: argparse applies type=int only when a subcommand uses the flag,
+    so a malformed value is a usage error there and harmless elsewhere."""
+    env = os.environ.get
     return {
-        "depth_max": _env_int("MAHLERKIT_DEPTH_MAX", 4),
-        "deg_max": _env_int("MAHLERKIT_DEG_MAX", 12),
-        "m_max": _env_int("MAHLERKIT_M_MAX", 3),
+        "depth_max": env("MAHLERKIT_DEPTH_MAX") or "4",
+        "deg_max": env("MAHLERKIT_DEG_MAX") or "12",
+        "m_max": env("MAHLERKIT_M_MAX") or "3",
     }
 
 
@@ -130,12 +129,8 @@ def cmd_verify(args):
 def cmd_guess(args):
     f = _read_series(args.series)
     eq = guess(f, args.k, args.d_max, args.b_max, args.margin)
-    if eq is None:
-        return {"verdict": "NONE"}, ["no equation within the bounds"]
-    return (
-        {"verdict": "FOUND", "equation": jsonio.equation_to_json(eq)},
-        ["found: " + _eq_text(eq)],
-    )
+    lines = ["no equation within the bounds"] if eq is None else ["found: " + _eq_text(eq)]
+    return jsonio.search_result_to_json(eq), lines
 
 
 def cmd_cartier(args):
@@ -196,10 +191,7 @@ def cmd_becker_search(args):
             {"verdict": "INCONCLUSIVE", "note": "bounds exhausted"},
             ["INCONCLUSIVE: bounds exhausted"],
         )
-    return (
-        {"verdict": "FOUND", "equation": jsonio.equation_to_json(eq)},
-        ["found: " + _eq_text(eq)],
-    )
+    return jsonio.search_result_to_json(eq), ["found: " + _eq_text(eq)]
 
 
 def cmd_certify(args):

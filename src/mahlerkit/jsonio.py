@@ -207,6 +207,22 @@ def certificate_from_json(doc) -> Certificate:
     )
 
 
+def search_result_to_json(eq: MahlerEquation | None) -> dict:
+    return {"verdict": "NONE"} if eq is None else {"verdict": "FOUND", "equation": equation_to_json(eq)}
+
+
+def search_result_from_json(doc) -> MahlerEquation | None:
+    """The output of guess and becker-search: FOUND with an equation, or NONE alone."""
+    _expect(isinstance(doc, dict), "search result must be an object")
+    found = doc.get("verdict") == "FOUND"
+    keys = {"verdict", "equation"} if found else {"verdict"}
+    _expect(
+        doc.get("verdict") in ("FOUND", "NONE") and set(doc) == keys,
+        "search result must be FOUND with an equation, or NONE alone",
+    )
+    return equation_from_json(doc["equation"]) if found else None
+
+
 # -- corpus items ------------------------------------------------------------
 
 
@@ -254,6 +270,7 @@ def corpus_item_from_json(doc) -> CorpusItem:
 _SCHEMAS = (
     ("corpus_item", lambda d: {"name", "equation", "prefix"} <= set(d), corpus_item_from_json, corpus_item_to_json),
     ("normalization", lambda d: "set_A" in d, normalization_from_json, normalization_to_json),
+    ("search_result", lambda d: d.get("verdict") in ("FOUND", "NONE"), search_result_from_json, search_result_to_json),
     ("certificate", lambda d: "verdict" in d, certificate_from_json, certificate_to_json),
     ("representation", lambda d: "matrices" in d, rep_from_json, rep_to_json),
     ("series", lambda d: "valuation" in d, series_from_json, series_to_json),

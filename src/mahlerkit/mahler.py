@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import ceil, gcd
 
 from . import linalg
@@ -122,17 +122,33 @@ def valuation_bound(eq: MahlerEquation) -> int:
     return ceil(max(first, second))
 
 
+def _exponents(k: int, i: int, j: int, v: int, stop: int) -> range:
+    """Where z^j F(z^(k^i)) puts F's coefficients n = v, v+1, ...: at k^i n + j < stop."""
+    return range(k**i * v + j, stop, k**i)
+
+
+def _monomials(eq: MahlerEquation):
+    """(i, j, c) for every nonzero monomial c z^j of every a_i, i first."""
+    return [(i, j, c) for i, a in enumerate(eq.coeffs) for j, c in enumerate(a.coeffs) if c]
+
+
 def verify(eq: MahlerEquation, f: LaurentSeries) -> VerifyResult:
-    """Feed f through the equation and report where the residual vanishes."""
-    acc = None
-    for i, a in enumerate(eq.coeffs):
-        if a.is_zero():
-            continue
-        term = f.compose_power(eq.k**i).mul_poly(a)
-        acc = term if acc is None else acc + term
-    if acc.is_zero():
-        return VerifyResult(acc.order, acc.order)
-    return VerifyResult(acc.valuation, acc.order)
+    """Feed f through the equation and report where the residual vanishes.
+    The residual is formed only below the propagated order, the least
+    k^i O + val0(a_i) to which a term a_i F(z^(k^i)) is known."""
+    stop = min(eq.k**i * f.order + a.val0() for i, a in enumerate(eq.coeffs) if a)
+    residual: dict[int, Fraction] = {}
+    for i, j, c in _monomials(eq):
+        for m, x in zip(_exponents(eq.k, i, j, f.valuation, stop), f.coeffs):
+            if x:
+                residual[m] = residual.get(m, ZERO) + c * x
+    return VerifyResult(min((m for m, x in residual.items() if x), default=stop), stop)
+
+
+def require_solution(eq: MahlerEquation, f: LaurentSeries) -> None:
+    """Raise ValueError unless f solves eq to its propagated order."""
+    if not (check := verify(eq, f)).ok:
+        raise ValueError("series does not solve the input equation (residual at %d)" % check.residual_order)
 
 
 def solve_series(eq: MahlerEquation, order: int) -> list[LaurentSeries]:
@@ -148,44 +164,28 @@ def solve_series(eq: MahlerEquation, order: int) -> list[LaurentSeries]:
     lo = -nu
     if order <= lo:
         raise ValueError("order must exceed -nu = %d" % lo)
-    delta = eq.coeffs[0].val0()
-    terms = []
-    for i, a in enumerate(eq.coeffs):
-        if not a.is_zero():
-            mons = [(j, c) for j, c in enumerate(a.coeffs) if c != 0]
-            terms.append((eq.k**i, mons))
-    m_min = min(kp * lo + mons[0][0] for kp, mons in terms)
+    # the pairs (n, c) of c z^j F(z^(k^i)) at each exponent, in column order
+    cells: dict[int, list[tuple[int, Fraction]]] = {}
+    for i, j, c in _monomials(eq):
+        for m, n in zip(_exponents(eq.k, i, j, lo, order + eq.coeffs[0].val0()), count(lo)):
+            cells.setdefault(m, []).append((n, c))
 
     expr: dict[int, dict[int, Fraction]] = {}
     nparams = 0
     constraints: list[dict[int, Fraction]] = []
-    for m in range(m_min, order + delta):
+    for m in sorted(cells):
+        if any(n >= order for n, _ in cells[m]):
+            # constrains coefficients past the truncation; below the propagated
+            # order only when the window is shorter than val0(a_0)
+            continue
         row: dict[int, Fraction] = {}
         pending: dict[int, Fraction] = {}
-        beyond_window = False
-        for kp, mons in terms:
-            for j, c in mons:
-                t = m - j
-                if t % kp:
-                    continue
-                n = t // kp
-                if n < lo:
-                    continue
-                if n >= order:
-                    # constrains coefficients past the truncation; only
-                    # possible below the soundly propagated order when the
-                    # window is shorter than val0(a_0)
-                    beyond_window = True
-                    break
-                if n in expr:
-                    for p, v in expr[n].items():
-                        row[p] = row.get(p, ZERO) + c * v
-                else:
-                    pending[n] = pending.get(n, ZERO) + c
-            if beyond_window:
-                break
-        if beyond_window:
-            continue
+        for n, c in cells[m]:
+            if n in expr:
+                for p, v in expr[n].items():
+                    row[p] = row.get(p, ZERO) + c * v
+            else:
+                pending[n] = pending.get(n, ZERO) + c
         pending = {n: c for n, c in pending.items() if c != 0}
         if not pending:
             row = {p: v for p, v in row.items() if v != 0}
@@ -243,16 +243,12 @@ def _check_prefix(f: LaurentSeries, k: int, d_max: int, b_max: int, margin: int)
 def _relation_rows(f: LaurentSeries, k: int, cols):
     """Nonzero rows, by increasing exponent m, of the map sending the
     unknowns a_{i,j} at cols to the prefix of sum a_{i,j} z^j F(z^(k^i))."""
-    m_min = min(k**i * f.valuation for i, _ in cols)
-    terms = [(k**i, j) for i, j in cols]
-    for m in range(m_min, f.order):
-        row = [ZERO] * len(cols)
-        for t, (kp, j) in enumerate(terms):
-            n, r = divmod(m - j, kp)
-            if not r and f.valuation <= n < f.order:
-                row[t] = f.coefficient(n)
-        if any(row):
-            yield row
+    rows: dict[int, list[Fraction]] = {}
+    for t, (i, j) in enumerate(cols):
+        for m, x in zip(_exponents(k, i, j, f.valuation, f.order), f.coeffs):
+            if x:
+                rows.setdefault(m, [ZERO] * len(cols))[t] = x
+    return [rows[m] for m in sorted(rows)]
 
 
 def _vector_to_polys(vec, cols, d: int, bound: int) -> list[Poly]:

@@ -32,6 +32,7 @@ from .mahler import (
     cartier_poly,
     coordinate_series,
     guess,
+    require_solution,
     verify,
 )
 from .series import LaurentSeries
@@ -148,9 +149,7 @@ def closure_rep(
     Returns None when a cap is exceeded; that outcome is explicitly not a
     proof of non-regularity.
     """
-    check = verify(eq, f)
-    if not check.ok:
-        raise ValueError("series does not solve the equation (residual at %d)" % check.residual_order)
+    require_solution(eq, f)
     k = eq.k
     basis = [CoordinateVector.unit(eq.d)]
     depth = [0]

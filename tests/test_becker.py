@@ -26,7 +26,7 @@ from mahlerkit.becker import (
 )
 from mahlerkit.errors import InvariantViolation
 from mahlerkit.mahler import MahlerEquation, pinned_relation_search, solve_series, verify
-from mahlerkit.regular import eval_rep, series_of_rep
+from mahlerkit.regular import closure_rep, eval_rep, series_of_rep
 from mahlerkit.series import LaurentSeries, prefix_oracle
 
 
@@ -59,8 +59,13 @@ def test_normalize_worked_example():
 
 def test_shifted_solution_checks_f_and_g():
     norm = normalize(ONE_PLUS_Z_EQ)
+    stern = prefix_oracle("stern", 64)
     with pytest.raises(ValueError, match="does not solve the input equation"):
-        shifted_solution(ONE_PLUS_Z_EQ, norm, prefix_oracle("stern", 64))
+        shifted_solution(ONE_PLUS_Z_EQ, norm, stern)
+    # the other entry points that take a solution share the same guard
+    for check in (certify_irregular, closure_rep):
+        with pytest.raises(ValueError, match="does not solve the input equation"):
+            check(ONE_PLUS_Z_EQ, stern)
     # a normalization whose Q does not match its new equation
     f = LaurentSeries.from_poly(P(1, -1), 64)
     with pytest.raises(InvariantViolation):

@@ -21,9 +21,10 @@ OPZ_EQ_JSON = json.dumps({"k": 2, "coeffs": [["1", "1"], ["-1"]]})
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, stdin=None, **env):
+def run_cli(*args, stdin=None, timeout=300, **env):
     """`python -m mahlerkit ARGS` on this checkout's sources, with the
-    environment variables in env added."""
+    environment variables in env added; a run past timeout seconds fails
+    the test with TimeoutExpired instead of hanging the suite."""
     env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -32,6 +33,7 @@ def run_cli(*args, stdin=None, **env):
         text=True,
         input=stdin,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -201,6 +203,36 @@ def test_cli_roundtrip_flags_non_canonical(tmp_path):
     assert "first_difference" in entry
 
 
+def test_cli_roundtrip_search_results(tmp_path):
+    stern = series_json(prefix_oracle("stern", 64))
+    outputs = {
+        "guess-found": ("guess", stern, "--k", "2", "--d-max", "2", "--b-max", "3"),
+        "guess-none": ("guess", stern, "--k", "2", "--d-max", "1", "--b-max", "0"),
+        "search-found": ("becker-search", stern, "--k", "2", "--depth-max", "1", "--deg-max", "2"),
+    }
+    paths = []
+    for name, args in outputs.items():
+        proc = run_cli("--format", "json", *args)
+        assert proc.returncode == 0, proc.stderr
+        paths.append(tmp_path / (name + ".json"))
+        paths[-1].write_text(proc.stdout)
+    assert [json.loads(p.read_text())["verdict"] for p in paths] == ["FOUND", "NONE", "FOUND"]
+    doc = run_json("roundtrip", *map(str, paths))
+    assert [(e["schema"], e["canonical"]) for e in doc["report"]] == [("search_result", True)] * 3
+
+
+def test_cli_empty_window_far_out_runs_in_bounded_time():
+    # a series known to vanish below z^3000000: nothing past its (empty)
+    # window is expanded, so each command ends in about a second
+    zero = json.dumps({"valuation": 3000000, "order": 3000000, "coeffs": []})
+    for command in ("normalize", "decompose"):
+        proc = run_cli(command, OPZ_EQ_JSON, "--series", zero, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+    proc = run_cli("pipeline", OPZ_EQ_JSON, "--series", zero, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("[becker-search] input error: insufficient prefix length 0")
+
+
 def test_cli_exit_codes():
     # malformed JSON -> 3 with a position in the message
     proc = run_cli("solve", '{"k": 2, "coeffs": [[')
@@ -267,6 +299,7 @@ NORM_DOC = {
         ("roundtrip", {"verdict": "REGULAR", "M": "x"}),
         ("roundtrip", {"verdict": "REGULAR", "order": True}),
         ("roundtrip", {"verdict": "REGULAR", "minimality": [1]}),
+        ("roundtrip", {"verdict": "FOUND"}),
     ],
     ids=[
         "matrix-not-array",
@@ -279,6 +312,7 @@ NORM_DOC = {
         "M-not-integer",
         "order-boolean",
         "minimality-not-string",
+        "found-without-equation",
     ],
 )
 def test_cli_malformed_nested_shapes_exit_3(command, doc):
@@ -386,6 +420,15 @@ def test_cli_env_var_default_bounds():
     # explicit flags override the environment defaults
     proc = run_cli("--format", "json", "becker-search", g, "--k", "2", "--deg-max", "2", **env)
     assert json.loads(proc.stdout)["verdict"] == "FOUND"
+
+
+def test_cli_malformed_env_var_is_a_usage_error_only_where_used():
+    g = series_json(prefix_oracle("stern", 64))
+    proc = run_cli("becker-search", g, "--k", "2", MAHLERKIT_DEPTH_MAX="abc")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "--depth-max" in proc.stderr
+    proc = run_cli("corpus", "list", MAHLERKIT_M_MAX="x")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_json_outputs_reparse_and_are_deterministic():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from mahlerkit.algebra import (
 from mahlerkit.mahler import (
     CoordinateVector,
     MahlerEquation,
+    VerifyResult,
     b_product,
     cartier_coordinates,
     cartier_rational,
@@ -111,6 +113,84 @@ def test_verify_examples():
     # the zero series solves everything to full order
     res = verify(THUE_MORSE_EQ, LaurentSeries.zero(32))
     assert res.ok
+
+
+def _dense_verify(eq, f):
+    """The definition: expand every a_i F(z^(k^i)) in full and add."""
+    acc = None
+    for i, a in enumerate(eq.coeffs):
+        if not a.is_zero():
+            term = f.compose_power(eq.k**i).mul_poly(a)
+            acc = term if acc is None else acc + term
+    # a sum that vanishes on its window has valuation == order
+    return VerifyResult(acc.valuation, acc.order)
+
+
+def _rand_poly(rng, deg, shift):
+    cs = [Fraction(rng.randint(-3, 3)) for _ in range(deg)] + [Fraction(rng.choice((-2, -1, 1, 2)))]
+    return Poly(cs).shift(shift)
+
+
+def _solved_equation(rng, k, d, v):
+    """z^a p(z^(k^d)) F(z) - z^b p(z) F(z^(k^d)) = 0 with b = a - (k^d - 1) v,
+    solved by F = z^v p(z); for d > 1 the coefficients between are zero."""
+    p = _rand_poly(rng, rng.randint(0, 2), 0)
+    a = max(0, (k**d - 1) * v)
+    coeffs = [p.substitute_power(k**d).shift(a)] + [Poly()] * (d - 1)
+    return MahlerEquation(k, coeffs + [-p.shift(a - (k**d - 1) * v)])
+
+
+def _verify_cases():
+    rng = random.Random(5)
+    for k in (2, 3, 5, 10):
+        for d in (1, 2, 3) if k < 10 else (1, 2):
+            eqs = [_solved_equation(rng, k, min(d, 2), v) for v in (-1, 0, 2)]
+            for _ in range(3):
+                coeffs = [_rand_poly(rng, rng.randint(0, 3), rng.randint(0, 2)) for _ in range(d + 1)]
+                if d > 1 and rng.random() < 0.5:
+                    coeffs[rng.randint(1, d - 1)] = Poly()  # an interior zero a_i
+                eqs.append(MahlerEquation(k, coeffs))
+            for eq in eqs:
+                order = rng.randint(4, 20)
+                for val in (-2, 0, 3):
+                    cs = [Fraction(rng.randint(-2, 2)) for _ in range(order - val)]
+                    yield eq, LaurentSeries(val, [1] + cs[1:], order)
+                yield eq, LaurentSeries.zero(order)
+                for s in solve_series(eq, order):
+                    yield eq, s
+                    bumped = s.coefficient_list(s.valuation, s.order)
+                    bumped[-1] += 1
+                    yield eq, LaurentSeries(s.valuation, bumped, s.order)
+    for eq in (THUE_MORSE_EQ, STERN_EQ, PARTITION_EQ, AFUNC_EQ):
+        for s in solve_series(eq, 24):
+            yield eq, s
+
+
+def test_verify_matches_dense_definition():
+    outcomes = set()
+    for eq, f in _verify_cases():
+        res = verify(eq, f)
+        assert res == _dense_verify(eq, f), (eq, f)
+        outcomes.add((eq.k, res.ok, f.valuation < 0, f.is_zero()))
+    # for every k: solutions and non-solutions of either sign of valuation, and the zero series
+    for k in (2, 3, 5, 10):
+        for case in ((ok, neg, False) for ok in (True, False) for neg in (True, False)):
+            assert (k, *case) in outcomes
+        assert (k, True, False, True) in outcomes
+
+
+def test_verify_cost_is_bounded_by_the_window():
+    # F(z) = F(z^(10^4)) on F = 1 + O(z^64): the definition expands
+    # F(z^(10^4)) to 640000 terms; only exponents below 64 can be certified
+    eq = MahlerEquation(10, [P(1), Poly(), Poly(), Poly(), P(-1)])
+    tracemalloc.start()
+    try:
+        res = verify(eq, LaurentSeries.from_poly(P(1), 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == VerifyResult(64, 64)
+    assert peak < 1 << 20
 
 
 def test_guess_examples():
