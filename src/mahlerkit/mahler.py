@@ -240,15 +240,26 @@ def _check_prefix(f: LaurentSeries, k: int, d_max: int, b_max: int, margin: int)
         )
 
 
-def _relation_rows(f: LaurentSeries, k: int, cols):
+def _relation_rows(f: LaurentSeries, k: int, cols, coeffs=None):
     """Nonzero rows, by increasing exponent m, of the map sending the
-    unknowns a_{i,j} at cols to the prefix of sum a_{i,j} z^j F(z^(k^i))."""
-    rows: dict[int, list[Fraction]] = {}
+    unknowns a_{i,j} at cols to the prefix of sum a_{i,j} z^j F(z^(k^i));
+    the same rows mod linalg.PRIME when coeffs holds f's residues."""
+    values, zero = (f.coeffs, ZERO) if coeffs is None else (coeffs, 0)
+    rows: dict[int, list] = {}
     for t, (i, j) in enumerate(cols):
-        for m, x in zip(_exponents(k, i, j, f.valuation, f.order), f.coeffs):
+        for m, x in zip(_exponents(k, i, j, f.valuation, f.order), values):
             if x:
-                rows.setdefault(m, [ZERO] * len(cols))[t] = x
+                rows.setdefault(m, [zero] * len(cols))[t] = x
     return [rows[m] for m in sorted(rows)]
+
+
+def _independent_columns(f: LaurentSeries, k: int, cols, res) -> int:
+    """How many leading columns of cols carry relation rows independent mod
+    linalg.PRIME, which proves the kernel over Q on those columns trivial;
+    res holds f's residues, and None (no residues) proves nothing."""
+    if res is None:
+        return 0
+    return linalg.leading_full_rank_mod_p(_relation_rows(f, k, cols, res), len(cols))
 
 
 def _vector_to_polys(vec, cols, d: int, bound: int) -> list[Poly]:
@@ -264,10 +275,25 @@ def guess(
     """Smallest equation (by degree d, then coefficient degree) that the
     whole known prefix of f satisfies; None when no such relation exists
     within the bounds.  The prefix must exceed the unknown count by the
-    verification margin."""
+    verification margin.
+
+    The columns of every (d, bound) are among those of (d_max, b_max), so
+    when that largest system has a trivial kernel mod linalg.PRIME, so has
+    every other and None is returned at once.  Likewise one screen per d
+    skips the bounds whose columns are independent mod PRIME."""
     _check_prefix(f, k, d_max, b_max, margin)
+    res = linalg.residues(f.coeffs)
+
+    def trivial_bounds(d):
+        # ordered by j, the columns of (d, bound) lead those of (d, b_max)
+        cols = [(i, j) for j in range(b_max + 1) for i in range(d + 1)]
+        return _independent_columns(f, k, cols, res) // (d + 1)
+
+    top = trivial_bounds(d_max)
+    if top > b_max:
+        return None
     for d in range(1, d_max + 1):
-        for bound in range(b_max + 1):
+        for bound in range(top if d == d_max else trivial_bounds(d), b_max + 1):
             cols = [(i, j) for i in range(d + 1) for j in range(bound + 1)]
             candidates = []
             for vec in linalg.nullspace(_relation_rows(f, k, cols), len(cols)):
@@ -293,7 +319,11 @@ def pinned_relation_search(
 
     Depth is minimized first; one solve at the full degree bound decides
     whether a given depth works at all, after which the degree is
-    minimized.  Returns the equation with a_0 = 1, or None."""
+    minimized.  Returns the equation with a_0 = 1, or None.
+
+    Every attempt's columns are among those of (depth_max, deg_max) with
+    a_0's constant column, so when that homogeneous system has a trivial
+    kernel, no attempt can succeed and None is returned at once."""
     _check_prefix(f, k, depth_max, deg_max, margin)
 
     def attempt(depth, bound):
@@ -308,6 +338,9 @@ def pinned_relation_search(
             return None
         return MahlerEquation(k, polys)
 
+    cols = [(i, j) for i in range(1, depth_max + 1) for j in range(deg_max + 1)] + [(0, 0)]
+    if _independent_columns(f, k, cols, linalg.residues(f.coeffs)) == len(cols):
+        return None
     for depth in range(1, depth_max + 1):
         hit = attempt(depth, deg_max)
         if hit is None:

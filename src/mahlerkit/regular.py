@@ -367,13 +367,17 @@ def rep_to_equation(rep: LinearRepresentation) -> MahlerEquation:
         bmax = max(p.degree() for p in base.coeffs)
         needed = (base.d + 1) * (bmax + 1) + 17
         prefix = series_of_rep(rep, max(64, needed))
-        for dprime in range(1, base.d):
+        # guess scans d' = 1, 2, ... and returns its first candidate, so one
+        # call at the largest d' < base.d the prefix is long enough for
+        # (a valuation > 0 shortens it) finds the smallest candidate
+        cand = None
+        for dprime in range(base.d - 1, 0, -1):
             try:
                 cand = guess(prefix, k, dprime, bmax)
             except ValueError:
-                break
-            if cand is None:
                 continue
+            break
+        if cand is not None:
             w_rows = _u_rows(bmat, chat, k, cand.d)
             w = [P_ZERO] * dh
             for i, q in enumerate(cand.coeffs):
@@ -382,7 +386,6 @@ def rep_to_equation(rep: LinearRepresentation) -> MahlerEquation:
                         w[t] = w[t] + q * w_rows[i][t]
             if _combination_vanishes(bmat, ellhat, w, cand.d, k):
                 base = cand
-                break
 
     check = verify(base, series_of_rep(rep, 64))
     if not check.ok:

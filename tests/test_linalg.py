@@ -7,7 +7,7 @@ import pytest
 from mahlerkit import jsonio
 from mahlerkit.algebra import Poly, RationalFunction
 from mahlerkit.becker import REGULAR, certify, certify_irregular, certify_regular
-from mahlerkit.linalg import Echelon, affine_solution, nullspace
+from mahlerkit.linalg import PRIME, Echelon, affine_solution, leading_full_rank_mod_p, nullspace, residues
 from mahlerkit.mahler import MahlerEquation, _relation_rows, solve_series
 from mahlerkit.regular import _poly_rows_dependence
 from mahlerkit.series import prefix_oracle
@@ -87,6 +87,109 @@ def test_solution_matches_sympy(seed):
                     break
                 bad[j] -= 1
             assert solve_system(mat, bad, ncols) is None
+
+
+def reference_echelon(rows, ncols):
+    """The unscreened path: every row through one Echelon over Q."""
+    ech = Echelon(ncols)
+    for row in rows:
+        ech.add_row(row)
+    return ech
+
+
+def reference_nullspace(rows, ncols):
+    return reference_echelon(rows, ncols).nullspace()
+
+
+def reference_affine(rows, ncols):
+    ech = reference_echelon(rows, ncols)
+    if ncols - 1 in ech.pivot_rows:
+        return None
+    ech._back_substitute()
+    return ech._kernel_vector(ncols - 1)
+
+
+@pytest.fixture
+def exact_rows(monkeypatch):
+    """Counts the rows fed to Echelon.add_row."""
+    fed = []
+    add_row = Echelon.add_row
+
+    def counting(self, row):
+        fed.append(row)
+        return add_row(self, row)
+
+    monkeypatch.setattr(Echelon, "add_row", counting)
+    return fed
+
+
+def screened_and_reference(rows, ncols, exact_rows):
+    """(nullspace, affine_solution) with the screen, the same from the
+    unscreened path, and the rows the screened calls fed to Echelon."""
+    expected = reference_nullspace(rows, ncols), reference_affine(rows, ncols)
+    del exact_rows[:]
+    got = nullspace(rows, ncols), affine_solution(rows, ncols)
+    return got, expected, exact_rows[:]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_screened_kernels_match_the_unscreened_path(seed, exact_rows):
+    rng = random.Random(300 + seed)
+    for nrows, ncols, rank in SHAPES + [(12, 5, 5), (12, 5, 4), (30, 8, 6), (3, 1, 1)]:
+        rows = rand_matrix(rng, nrows, ncols, rank)
+        # rational rows: each scaled by its own factor, some with large denominators
+        rows = [[x * Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 2, 7, 10**12 + 39))) for x in row] for row in rows]
+        got, expected, fed = screened_and_reference(rows, ncols, exact_rows)
+        assert got == expected
+        if rank == ncols:
+            # full column rank mod PRIME settles both answers without exact work
+            assert fed == []
+
+
+def test_rank_drop_mod_p_falls_back_to_the_full_elimination(exact_rows):
+    p = PRIME
+    cases = [
+        # columns that are multiples of p: rank 1 mod p, 2 over Q, kernel {0}
+        ([[1, p], [2, 3 * p]], 2),
+        # rank 1 mod p, 2 over Q, a one-dimensional kernel over Q
+        ([[1, p, 1], [2, 3 * p, 2]], 3),
+        # a rank-deficient block plus p times a random one
+        ([[i + j + p * ((i * j) % 5) for j in range(4)] for i in range(6)], 4),
+    ]
+    for rows, ncols in cases:
+        rows = [[Fraction(x) for x in row] for row in rows]
+        got, expected, _ = screened_and_reference(rows, ncols, exact_rows)
+        assert got == expected
+        del exact_rows[:]
+        nullspace(rows, ncols)
+        # the kernel read off the rows independent mod p fails the exact
+        # check, so every row goes through the full elimination after them
+        assert len(exact_rows) > len(rows) and exact_rows[-len(rows) :] == rows
+
+
+def test_denominator_divisible_by_p_skips_the_screen(exact_rows):
+    for rows, ncols in (([[Fraction(1, PRIME), 1], [1, PRIME]], 2), ([[Fraction(1, 3 * PRIME), 1, 0]], 3)):
+        rows = [[Fraction(x) for x in row] for row in rows]
+        got, expected, fed = screened_and_reference(rows, ncols, exact_rows)
+        assert got == expected
+        assert fed[: len(rows)] == rows
+
+
+def test_a_pivot_mod_p_in_the_last_column_proves_nothing():
+    # p x = 1: mod p the last column takes the pivot, over Q x = 1/p
+    assert affine_solution([[Fraction(PRIME), Fraction(-1)]], 2) == [Fraction(1, PRIME), 1]
+    assert nullspace([[Fraction(PRIME), Fraction(-1)]], 2) == [[Fraction(1, PRIME), 1]]
+
+
+def residue_rows(rows):
+    return [residues([Fraction(x) for x in row]) for row in rows]
+
+
+def test_leading_full_rank_mod_p():
+    # column 1 vanishes mod p, so only column 0 is proven independent
+    assert leading_full_rank_mod_p(residue_rows([[1, 0, 1, 5], [0, PRIME, 0, 1], [2, 0, 2, 0]]), 4) == 1
+    assert leading_full_rank_mod_p(residue_rows([[1, 0], [0, 1], [1, 1]]), 2) == 2
+    assert leading_full_rank_mod_p([], 3) == 0
 
 
 def rand_poly(rng, deg):

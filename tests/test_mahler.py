@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mahlerkit import linalg
 from mahlerkit.algebra import (
     P_ONE,
     Poly,
@@ -11,6 +12,7 @@ from mahlerkit.algebra import (
     cyclo_multiplicity,
     cyclotomic,
 )
+from mahlerkit.corpus import paradox_family
 from mahlerkit.mahler import (
     CoordinateVector,
     MahlerEquation,
@@ -334,3 +336,72 @@ def test_section_never_increases_every_valuation():
         assert vals and min(vals) <= base
         checked += 1
     assert checked >= 40
+
+
+def _reference_nullspace(rows, ncols):
+    ech = linalg.Echelon(ncols)
+    for row in rows:
+        ech.add_row(row)
+    return ech.nullspace()
+
+
+def _reference_affine(rows, ncols):
+    ech = linalg.Echelon(ncols)
+    for row in rows:
+        ech.add_row(row)
+    if ncols - 1 in ech.pivot_rows:
+        return None
+    ech._back_substitute()
+    return ech._kernel_vector(ncols - 1)
+
+
+def _exact_scan(monkeypatch, search, *args):
+    """The search with no modular screen: every system it visits solved
+    over Q in full, as before the screen."""
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "leading_full_rank_mod_p", lambda rows, ncols: 0)
+        m.setattr(linalg, "nullspace", _reference_nullspace)
+        m.setattr(linalg, "affine_solution", _reference_affine)
+        return search(*args)
+
+
+def test_paradox_rejection_needs_no_exact_row(monkeypatch):
+    # the corpus independence check: F0 and F0(z^2) admit no polynomial relation
+    fed = []
+    add_row = linalg.Echelon.add_row
+    monkeypatch.setattr(linalg.Echelon, "add_row", lambda self, row: fed.append(row) or add_row(self, row))
+    assert guess(paradox_family(2, 256).F0, 2, 1, 12) is None
+    assert fed == []
+
+
+def _screen_cases():
+    """(prefix, k): solutions, unrelated prefixes, and prefixes whose
+    coefficients have denominators or numerators divisible by PRIME."""
+    rng = random.Random(11)
+    p = linalg.PRIME
+    thue = prefix_oracle("thue_morse", 64)
+    cases = [
+        (thue, 2),
+        (prefix_oracle("stern", 64), 2),
+        (prefix_oracle("binary_partitions", 64), 2),
+        (paradox_family(2, 64).F0, 2),
+        (solve_series(AFUNC_EQ, 64)[0], 2),
+        (LaurentSeries(0, [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(64)], 64), 2),
+        (LaurentSeries(0, [x * Fraction(1, p) for x in thue.coeffs], 64), 2),
+        (LaurentSeries(0, [Fraction(1, p)] + [rng.randint(-2, 2) for _ in range(63)], 64), 2),
+        (LaurentSeries(0, [x * p for x in thue.coeffs], 64), 2),
+    ]
+    for seed in range(3):
+        b1 = Poly([1] + [rng.randint(-2, 2) for _ in range(2)])
+        b2 = Poly([0, rng.randint(-2, 2), rng.choice((-1, 1))])
+        cases.append((solve_series(MahlerEquation(3, [P(1), -b1, -b2]), 96)[0], 3))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_searches_match_the_exact_scan(case, monkeypatch):
+    f, k = _screen_cases()[case]
+    for d_max, b_max in ((1, 2), (2, 3), (3, 2)):
+        assert guess(f, k, d_max, b_max) == _exact_scan(monkeypatch, guess, f, k, d_max, b_max)
+        found = pinned_relation_search(f, k, d_max, b_max)
+        assert found == _exact_scan(monkeypatch, pinned_relation_search, f, k, d_max, b_max)
