@@ -161,9 +161,7 @@ def shifted_solution(eq: MahlerEquation, norm: BeckerNormalization, f: LaurentSe
     f must solve eq (ValueError otherwise), and G must satisfy the new
     equation to the propagated order (InvariantViolation otherwise)."""
     require_solution(eq, f)
-    # 1/Q is needed only as far as F's window reaches
-    qinv = LaurentSeries.from_poly(norm.Q, f.order - max(f.valuation, 0) + 1).invert()
-    g = (f * qinv).shift(-norm.gamma)
+    g = f.div_poly(norm.Q).shift(-norm.gamma)
     if not verify(norm.new_eq, g).ok:
         raise InvariantViolation("G = F/(z^gamma Q) fails the new equation")
     return g
@@ -331,16 +329,14 @@ def structure_decompose(
     unit_part = a0.shift(-delta)
     rho = unit_part.constant()
     gamma_poly = unit_part.scale(1 / rho)
-    # the product is needed only as far as F's window reaches
+    # the factors are needed only as far as F's window reaches, and J is
+    # known as far as F times their product known mod z^max(order, 1)
     order = f.order - max(f.valuation, 0)
-    j = 0
-    prod = LaurentSeries.from_poly(P_ONE, max(order, 1))
+    big_j, j = f, 0
     while eq.k**j < order:
-        factor = LaurentSeries.from_poly(gamma_poly.substitute_power(eq.k**j), order)
-        prod = (prod * factor).truncate(order)
+        big_j = big_j.mul_poly(gamma_poly.substitute_power(eq.k**j))
         j += 1
-    big_j = f * prod
-    return big_j, gamma_poly, rho, delta
+    return big_j.truncate(min(f.order, max(order, 1) + f.valuation)), gamma_poly, rho, delta
 
 
 def reciprocal_rep(
@@ -370,7 +366,7 @@ def reciprocal_rep(
             if gate.verdict != REGULAR:
                 raise ValueError("certificate rejected Q: %s" % gate.note)
             heq = MahlerEquation(k, [q, -qk])
-    series = LaurentSeries.from_poly(q, order).invert()
+    series = LaurentSeries.from_poly(P_ONE, order).div_poly(q)
     rep = closure_rep(heq, series, max_dim=max_dim, max_depth=max_depth)
     if rep is None:
         raise InvariantViolation("closure caps exceeded for an accepted Q")

@@ -26,7 +26,7 @@ from .becker import (
 )
 from .errors import InvariantViolation
 from .mahler import guess, pinned_relation_search, pole_profile, solve_series, valuation_bound, verify
-from .regular import closure_rep, eval_rep, rep_to_equation
+from .regular import closure_rep, eval_rep, rep_to_equation, series_of_rep
 from .series import cartier
 
 
@@ -142,7 +142,7 @@ def cmd_cartier(args):
 def cmd_rep_eval(args):
     rep = jsonio.rep_from_json(_read_doc(args.representation))
     if args.count is not None:
-        values = [eval_rep(rep, n) for n in range(args.count)]
+        values = series_of_rep(rep, args.count).coefficient_list(0, args.count) if args.count > 0 else []
         return (
             {"values": [rat_to_str(v) for v in values]},
             [", ".join(rat_to_str(v) for v in values)],

@@ -45,11 +45,9 @@ def paradox_family(k: int, order: int) -> ParadoxFamily:
     row = [LaurentSeries.from_poly(P_ONE, order), LaurentSeries.zero(order)]
     j = 0
     while not (j >= 1 and k ** (j - 1) >= order):
-        m00 = LaurentSeries.from_poly(top.substitute_power(k**j), order)
-        m01 = LaurentSeries.from_poly(off.substitute_power(k**j), order)
         row = [
-            (row[0] * m00 + row[1]).truncate(order),
-            (row[0] * m01).truncate(order),
+            row[0].mul_poly(top.substitute_power(k**j)) + row[1],
+            row[0].mul_poly(off.substitute_power(k**j)).truncate(order),
         ]
         j += 1
     h = row[0]

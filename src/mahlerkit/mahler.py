@@ -31,7 +31,7 @@ from .algebra import (
     poly_gcd_list,
 )
 from .errors import InvariantViolation
-from .series import LaurentSeries, rational_to_series
+from .series import LaurentSeries
 
 
 class MahlerEquation:
@@ -491,11 +491,13 @@ def coordinate_series(
     """Expand a coordinate vector into a series using a solution prefix."""
     acc = None
     for t, entry in enumerate(vec.entries):
-        ft = f.compose_power(eq.k**t)
         if entry.is_zero():
             term = LaurentSeries.zero(order)
         else:
-            rf_order = max(order - ft.valuation + 1, 1)
-            term = rational_to_series(entry, rf_order) * ft
+            # F(z^(k^t)) is needed to order - val0(num) + val0(den) only
+            m = eq.k**t
+            stop = -((entry.num.val0() - entry.den.val0() - order) // m)
+            ft = (f.truncate(stop) if stop < f.order else f).compose_power(m)
+            term = ft.mul_poly(entry.num).div_poly(entry.den)
         acc = term if acc is None else acc + term
     return acc.truncate(order) if acc.order > order else acc

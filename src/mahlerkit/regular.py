@@ -91,9 +91,15 @@ def eval_rep(rep: LinearRepresentation, n: int) -> Fraction:
 
 
 def series_of_rep(rep: LinearRepresentation, order: int) -> LaurentSeries:
+    """Values at n < order by the digit recursion on the row side:
+    r(0) = row, r(n) = r(n // k) A_(n mod k), value(n) = r(n) col."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return LaurentSeries(0, [eval_rep(rep, n) for n in range(order)], order)
+    rows = [rep.row]
+    for n in range(1, order):
+        r, m = rows[n // rep.k], rep.matrices[n % rep.k]
+        rows.append([sum((x * a[j] for x, a in zip(r, m) if x and a[j]), ZERO) for j in range(rep.dim)])
+    return LaurentSeries(0, [sum((x * c for x, c in zip(r, rep.col) if x and c), ZERO) for r in rows], order)
 
 
 # -- closure of the section action -----------------------------------------
@@ -363,10 +369,11 @@ def rep_to_equation(rep: LinearRepresentation) -> MahlerEquation:
         return MahlerEquation(k, [P_ONE, Poly([-1])])
     base = MahlerEquation(k, ps).primitive()
 
+    # one prefix serves the guess and the final check on its first 64 terms
+    bmax = max(p.degree() for p in base.coeffs)
+    needed = (base.d + 1) * (bmax + 1) + 17 if base.d > 1 else 64
+    prefix = series_of_rep(rep, max(64, needed))
     if base.d > 1:
-        bmax = max(p.degree() for p in base.coeffs)
-        needed = (base.d + 1) * (bmax + 1) + 17
-        prefix = series_of_rep(rep, max(64, needed))
         # guess scans d' = 1, 2, ... and returns its first candidate, so one
         # call at the largest d' < base.d the prefix is long enough for
         # (a valuation > 0 shortens it) finds the smallest candidate
@@ -387,7 +394,7 @@ def rep_to_equation(rep: LinearRepresentation) -> MahlerEquation:
             if _combination_vanishes(bmat, ellhat, w, cand.d, k):
                 base = cand
 
-    check = verify(base, series_of_rep(rep, 64))
+    check = verify(base, prefix.truncate(64))
     if not check.ok:
         raise InvariantViolation("extracted equation fails on the series prefix")
     return base

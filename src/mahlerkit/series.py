@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Poly, RationalFunction, ZERO
-
-_F1 = Fraction(1)
+from .algebra import P_ONE, Poly, RationalFunction, ZERO
 
 
 class LaurentSeries:
@@ -40,7 +38,7 @@ class LaurentSeries:
     def from_poly(cls, p: Poly, order: int) -> "LaurentSeries":
         cs = list(p.coeffs[:order]) if order > 0 else []
         cs += [ZERO] * (order - len(cs))
-        return cls(0, cs, order)
+        return cls(min(order, 0), cs, order)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -117,56 +115,58 @@ class LaurentSeries:
 
     def __mul__(self, other):
         # a known mod z^Oa with valuation va: the product is sound mod
-        # z^min(Oa+vb, Ob+va).
-        if self.is_zero() or other.is_zero():
-            return LaurentSeries.zero(min(self.order + other.valuation, other.order + self.valuation))
+        # z^min(Oa+vb, Ob+va).  The package multiplies by exact polynomials
+        # (mul_poly); this wrapper stays while bench/tracing.py names it.
         order = min(self.order + other.valuation, other.order + self.valuation)
-        val = self.valuation + other.valuation
-        out = [ZERO] * (order - val)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            ei = self.valuation + i
-            jmax = min(len(other.coeffs), order - ei - other.valuation)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[ei + other.valuation + j - val] += a * b
-        return LaurentSeries(val, out, order)
+        if self.is_zero() or other.is_zero():
+            return LaurentSeries.zero(order)
+        return self.mul_poly(Poly(other.coeffs)).shift(other.valuation).truncate(order)
 
     def mul_poly(self, p: Poly) -> "LaurentSeries":
-        """Multiply by an exactly known polynomial: order gains val0(p)."""
+        """Multiply by an exactly known polynomial: order gains val0(p).
+        One pass over the window per nonzero coefficient of p."""
         if p.is_zero():
             raise ValueError("multiplying by the zero polynomial loses the order; handle upstream")
-        order = self.order + p.val0()
-        val = self.valuation + p.val0()
-        out = [ZERO] * (order - val)
-        for j, b in enumerate(p.coeffs):
-            if b == 0:
-                continue
-            for i, a in enumerate(self.coeffs):
-                if a != 0:
-                    e = self.valuation + i + j
-                    if e < order:
-                        out[e - val] += a * b
-        return LaurentSeries(val, out, order)
+        s = p.val0()
+        n = len(self.coeffs)
+        nonzero = [(i, a) for i, a in enumerate(self.coeffs) if a]
+        out = [ZERO] * n
+        for j, b in enumerate(p.coeffs[s : s + n]):
+            if b:
+                for i, a in nonzero:
+                    if i + j >= n:
+                        break
+                    out[i + j] += a * b
+        return LaurentSeries(self.valuation + s, out, self.order + s)
+
+    def div_poly(self, q: Poly) -> "LaurentSeries":
+        """Divide by an exactly known polynomial through the recurrence
+        q G = F: valuation and order both drop by val0(q), at a cost of
+        one pass over the window per nonzero coefficient of q."""
+        if q.is_zero():
+            raise ValueError("cannot divide by the zero polynomial")
+        s = q.val0()
+        lead = q.coeffs[s]
+        tail = [(j, c) for j, c in enumerate(q.coeffs[s + 1 :], 1) if c]
+        g = []
+        for n, x in enumerate(self.coeffs):
+            for j, c in tail:
+                if j > n:
+                    break
+                if g[n - j]:
+                    x -= c * g[n - j]
+            g.append(x / lead)
+        return LaurentSeries(self.valuation - s, g, self.order - s)
 
     def invert(self) -> "LaurentSeries":
         """Multiplicative inverse; input with valuation v and order O gives
-        a series of valuation -v known mod z^(O-2v)."""
+        a series of valuation -v known mod z^(O-2v).  The package divides
+        by exact polynomials (div_poly); this wrapper stays while
+        bench/tracing.py names it."""
         if self.is_zero():
             raise ValueError("cannot invert a series that is 0 modulo its order")
-        n = len(self.coeffs)  # unit-part coefficients known: O - v of them
-        a0 = self.coeffs[0]
-        inv = [_F1 / a0]
-        for m in range(1, n):
-            acc = ZERO
-            for j in range(1, m + 1):
-                if j < n and self.coeffs[j] != 0:
-                    acc += self.coeffs[j] * inv[m - j]
-            inv.append(-acc / a0)
-        v = self.valuation
-        return LaurentSeries(-v, inv, self.order - 2 * v)
+        one = LaurentSeries.from_poly(P_ONE, self.order - self.valuation)
+        return one.div_poly(Poly(self.coeffs)).shift(-self.valuation)
 
     def compose_power(self, m: int) -> "LaurentSeries":
         """The series F(z^m); valuation and order both scale by m."""
@@ -188,12 +188,7 @@ def rational_to_series(rf: RationalFunction, order: int) -> LaurentSeries:
     """Laurent expansion of a rational function, exact to the given order."""
     if rf.is_zero():
         return LaurentSeries.zero(order)
-    dv = rf.den.val0()
-    nv = rf.num.val0()
-    num = LaurentSeries.from_poly(rf.num, max(order + dv + 1, nv + 1))
-    den = LaurentSeries.from_poly(rf.den, max(order + 2 * dv - nv + 1, dv + 1))
-    prod = num * den.invert()
-    return prod.truncate(order) if prod.order > order else prod
+    return LaurentSeries.from_poly(rf.num, order + rf.den.val0()).div_poly(rf.den)
 
 
 def cartier(f: LaurentSeries, k: int, i: int) -> LaurentSeries:
@@ -221,10 +216,10 @@ def sections_recompose(f: LaurentSeries, k: int) -> LaurentSeries:
 
 def _product_expansion(factor_coeffs, order: int) -> LaurentSeries:
     # factor_coeffs(j) yields the sparse polynomial for the j-th factor.
-    acc = LaurentSeries.from_poly(Poly([1]), order)
+    acc = LaurentSeries.from_poly(P_ONE, order)
     j = 0
     while 2**j < order:
-        acc = (acc * LaurentSeries.from_poly(Poly(factor_coeffs(j)), order)).truncate(order)
+        acc = acc.mul_poly(Poly(factor_coeffs(j)))
         j += 1
     return acc
 

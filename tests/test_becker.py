@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from dense_series import dense_mul
 from mahlerkit.algebra import (
     P_ONE,
     Poly,
@@ -24,6 +25,7 @@ from mahlerkit.becker import (
     structure_decompose,
     witness_equation,
 )
+from mahlerkit.corpus import family_equation, paradox_family
 from mahlerkit.errors import InvariantViolation
 from mahlerkit.mahler import MahlerEquation, pinned_relation_search, solve_series, verify
 from mahlerkit.regular import closure_rep, eval_rep, series_of_rep
@@ -70,6 +72,17 @@ def test_shifted_solution_checks_f_and_g():
     f = LaurentSeries.from_poly(P(1, -1), 64)
     with pytest.raises(InvariantViolation):
         shifted_solution(ONE_PLUS_Z_EQ, dataclasses.replace(norm, Q=P_ONE), f)
+
+
+def test_shifted_solution_keeps_the_window_of_a_laurent_f():
+    # F = F0 / z has valuation -2, and its equation has gamma = 1, Q = 1:
+    # G = F / z to F's full order less gamma, since Q is exact (a product
+    # with 1/Q truncated to F's window would lose the last term)
+    f = paradox_family(2, 64).F0.shift(-1)
+    eq = MahlerEquation(2, [a.shift(2**i) for i, a in enumerate(family_equation(2).coeffs)])
+    norm = normalize(eq)
+    assert (norm.Q, norm.gamma) == (P_ONE, 1)
+    assert shifted_solution(eq, norm, f) == f.shift(-1)
 
 
 def test_normalize_z_power_only():
@@ -266,15 +279,45 @@ def test_structure_decompose_reconstructs():
         (ONE_PLUS_Z_EQ, LaurentSeries.from_poly(P(1, -1), 32)),
     ):
         big_j, gamma_poly, rho, delta = structure_decompose(eq, f)
-        # J times the inverse of the finite product reproduces F
+        # J divided by each factor of the finite product reproduces F
         order = f.order
-        prod = LaurentSeries.from_poly(P_ONE, order)
+        back = big_j
         j = 0
         while eq.k**j < order:
-            prod = (prod * LaurentSeries.from_poly(gamma_poly.substitute_power(eq.k**j), order)).truncate(order)
+            back = back.div_poly(gamma_poly.substitute_power(eq.k**j))
             j += 1
-        back = big_j * prod.invert()
         assert back.agrees_with(f, order - 1)
+
+
+def _dense_structure_j(eq, f, gamma_poly):
+    """J by its first formula: F times the product of the Gamma(z^(k^j))
+    expanded densely mod z^max(O', 1), O' = f.order - max(f.valuation, 0)."""
+    order = f.order - max(f.valuation, 0)
+    prod = LaurentSeries.from_poly(P_ONE, max(order, 1))
+    j = 0
+    while eq.k**j < order:
+        factor = LaurentSeries.from_poly(gamma_poly.substitute_power(eq.k**j), order)
+        prod = dense_mul(prod, factor).truncate(order)
+        j += 1
+    return dense_mul(f, prod)
+
+
+def test_structure_decompose_matches_dense_formula():
+    # windows with order <= 0 and negative valuations keep the order of
+    # the dense product, min(f.order, max(O', 1) + f.valuation)
+    windows = [
+        LaurentSeries(-3, [1, 2], -1),
+        LaurentSeries(-4, [1, -1, 2, 5], 0),
+        LaurentSeries(-2, [3, 1, 4, 1, 5, 9, 2], 5),
+        LaurentSeries(2, [1, 1, 0, 1, 2, 1], 8),
+        LaurentSeries.zero(-2),
+        LaurentSeries.zero(6),
+        prefix_oracle("binary_partitions", 32),
+    ]
+    for eq in (PARTITION_EQ, ONE_PLUS_Z_EQ, MahlerEquation(3, [P(0, 0, 2, 2, 0, -6), P(-1)])):
+        for f in windows:
+            big_j, gamma_poly, rho, delta = structure_decompose(eq, f)
+            assert big_j == _dense_structure_j(eq, f, gamma_poly)
 
 
 def test_reciprocal_rep_examples():
@@ -286,7 +329,7 @@ def test_reciprocal_rep_examples():
     assert [eval_rep(rep, n) for n in range(6)] == [1, 0, 0, 0, 0, 0]
 
     rep = reciprocal_rep(P(1, 0, -1), 2)
-    expected = LaurentSeries.from_poly(P(1, 0, -1), 66).invert()
+    expected = LaurentSeries(0, [1 - n % 2 for n in range(64)], 64)  # 1/(1 - z^2)
     assert series_of_rep(rep, 64).agrees_with(expected, 64)
 
 

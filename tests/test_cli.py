@@ -2,15 +2,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from mahlerkit import cli, jsonio
 from mahlerkit.algebra import Poly, RationalFunction
-from mahlerkit.becker import Certificate, normalize
+from mahlerkit.becker import Certificate, normalize, reciprocal_rep
+from mahlerkit.corpus import corpus_names
 from mahlerkit.mahler import MahlerEquation
-from mahlerkit.regular import LinearRepresentation
+from mahlerkit.regular import LinearRepresentation, closure_rep, series_of_rep
 from mahlerkit.series import LaurentSeries, prefix_oracle
 
 TM_EQ_JSON = json.dumps({"k": 2, "coeffs": [["1"], ["-1", "1"]]})
@@ -398,17 +400,68 @@ def test_cli_normalize_and_pipeline_reject_a_non_solution():
 
 def test_cli_pipeline_expands_g_once(monkeypatch, capsys):
     calls = []
-    invert = LaurentSeries.invert
+    div_poly = LaurentSeries.div_poly
 
-    def counted(self):
-        calls.append(self)
-        return invert(self)
+    def counted(self, q):
+        calls.append(q)
+        return div_poly(self, q)
 
-    monkeypatch.setattr(LaurentSeries, "invert", counted)
+    monkeypatch.setattr(LaurentSeries, "div_poly", counted)
     prefix = series_json(LaurentSeries.from_poly(Poly([1, -1]), 256))
     assert cli.main(["--format", "json", "pipeline", OPZ_EQ_JSON, "--series", prefix]) == 0
     assert json.loads(capsys.readouterr().out)["becker"]["verdict"] == "FOUND"
     assert len(calls) == 1
+
+
+def test_no_dense_series_product_on_any_path(monkeypatch, capsys, tmp_path):
+    # every product and quotient of series in the package multiplies or
+    # divides by an exact polynomial; the dense kernels must not be reached
+    def dense(*args):
+        raise AssertionError("dense series arithmetic reached")
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", dense)
+    monkeypatch.setattr(LaurentSeries, "invert", dense)
+    assert cli.main(["corpus", "regenerate", "--out", str(tmp_path)]) == 0
+    golden_dir = Path(__file__).resolve().parents[1] / "src" / "mahlerkit" / "data" / "corpus"
+    for name in corpus_names():
+        assert (tmp_path / (name + ".json")).read_bytes() == (golden_dir / (name + ".json")).read_bytes()
+        doc = _golden(name)
+        eq, prefix = json.dumps(doc["equation"]), json.dumps(doc["prefix"])
+        assert cli.main(["--format", "json", "pipeline", eq, "--series", prefix]) == 0
+        assert cli.main(["--format", "json", "decompose", eq, "--series", prefix]) == 0
+    capsys.readouterr()
+    rep = reciprocal_rep(Poly([1, 0, -1]), 2)
+    assert series_of_rep(rep, 16).coefficient_list(0, 16) == [1 - n % 2 for n in range(16)]
+    stern = MahlerEquation(2, [Poly([1]), Poly([-1, -1, -1])])
+    assert closure_rep(stern, prefix_oracle("stern", 64)).dim == 2
+
+
+def test_cli_rep_eval_count_matches_single_n(capsys):
+    # k = 3, dimension 3, and row * A_0 != row, so n = 0 is no special case
+    rep = LinearRepresentation(
+        3,
+        3,
+        [1, 0, 2],
+        [
+            [[1, 1, 0], [0, 0, 1], [1, 0, 0]],
+            [[0, 1, 0], [1, 0, -1], [0, 2, 1]],
+            [[1, 0, 0], [0, Fraction(1, 2), 0], [1, 1, 1]],
+        ],
+        [1, -1, 1],
+    )
+    assert [sum(rep.row[i] * rep.matrices[0][i][j] for i in range(3)) for j in range(3)] != list(rep.row)
+    doc = json.dumps(jsonio.rep_to_json(rep))
+    assert cli.main(["--format", "json", "rep-eval", doc, "--count", "40"]) == 0
+    values = json.loads(capsys.readouterr().out)["values"]
+    singles = []
+    for n in range(40):
+        assert cli.main(["--format", "json", "rep-eval", doc, "--n", str(n)]) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert single["n"] == n
+        singles.append(single["value"])
+    assert values == singles
+    assert cli.main(["--format", "json", "rep-eval", doc, "--count", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"values": []}
 
 
 def test_cli_env_var_default_bounds():

@@ -1,10 +1,12 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from mahlerkit import linalg
+from dense_series import dense_mul, dense_rational_to_series
+from mahlerkit import jsonio, linalg
 from mahlerkit.algebra import (
     P_ONE,
     Poly,
@@ -12,7 +14,7 @@ from mahlerkit.algebra import (
     cyclo_multiplicity,
     cyclotomic,
 )
-from mahlerkit.corpus import paradox_family
+from mahlerkit.corpus import corpus_names, family_equation, paradox_family
 from mahlerkit.mahler import (
     CoordinateVector,
     MahlerEquation,
@@ -29,6 +31,7 @@ from mahlerkit.mahler import (
     valuation_bound,
     verify,
 )
+from mahlerkit.regular import _coordinates_in_span
 from mahlerkit.series import LaurentSeries, cartier, prefix_oracle
 
 
@@ -292,6 +295,48 @@ def test_cartier_coordinates_with_z_power_leading():
         lhs = coordinate_series(eq, out, f, 16)
         rhs = cartier(coordinate_series(eq, vec, f, 40), 2, r)
         assert lhs.agrees_with(rhs, 16)
+
+
+def _dense_coordinate_series(eq, vec, f, order):
+    """coordinate_series by its first formula: expand each entry as a
+    rational function and multiply it densely into F(z^(k^t))."""
+    acc = None
+    for t, entry in enumerate(vec.entries):
+        ft = f.compose_power(eq.k**t)
+        if entry.is_zero():
+            term = LaurentSeries.zero(order)
+        else:
+            term = dense_mul(dense_rational_to_series(entry, max(order - ft.valuation + 1, 1)), ft)
+        acc = term if acc is None else acc + term
+    return acc.truncate(order) if acc.order > order else acc
+
+
+def _closure_basis(eq, max_dim=8):
+    """The basis closure_rep builds: section images of the unit vector,
+    kept when they leave the span of the earlier ones, up to max_dim of
+    them (the binary-partition closure never ends)."""
+    basis = [CoordinateVector.unit(eq.d)]
+    for vec in basis:
+        for r in range(eq.k):
+            w = cartier_coordinates(eq, vec, r)
+            if _coordinates_in_span(basis, w) is None:
+                if len(basis) == max_dim:
+                    return basis
+                basis.append(w)
+    return basis
+
+
+def test_coordinate_series_matches_dense_formula():
+    corpus_dir = Path(__file__).resolve().parents[1] / "src" / "mahlerkit" / "data" / "corpus"
+    cases = []
+    for name in corpus_names():
+        item = jsonio.corpus_item_from_json(jsonio.loads_strict((corpus_dir / ("%s.json" % name)).read_text()))
+        cases.append((item.equation, item.prefix))
+    cases.append((family_equation(2), paradox_family(2, 64).F0))  # valuation -1
+    for eq, f in cases:
+        for vec in _closure_basis(eq):
+            for order in (1, 2, 17):
+                assert coordinate_series(eq, vec, f, order) == _dense_coordinate_series(eq, vec, f, order)
 
 
 def _rand_rational_function(rng, order):

@@ -49,6 +49,28 @@ def test_series_of_rep():
     assert series_of_rep(zero_rep, 8).is_zero()
 
 
+def _rand_rep(rng, k, dim):
+    def entry():
+        return Fraction(rng.choice((0, 0, 1, -1, 2)), rng.choice((1, 1, 3)))
+
+    mats = [[[entry() for _ in range(dim)] for _ in range(dim)] for _ in range(k)]
+    return LinearRepresentation(k, dim, [entry() for _ in range(dim)], mats, [entry() for _ in range(dim)])
+
+
+def test_series_of_rep_matches_eval_rep():
+    # the row-side digit recursion against the column-side definition
+    rng = random.Random(21)
+    for k in (2, 3, 5, 10):
+        for dim in (1, 2, 3, 4):
+            for _ in range(3):
+                rep = _rand_rep(rng, k, dim)
+                for order in (1, 2 * k + 1, 60):
+                    values = series_of_rep(rep, order).coefficient_list(0, order)
+                    assert values == [eval_rep(rep, n) for n in range(order)]
+    with pytest.raises(ValueError):
+        series_of_rep(TM_REP, 0)
+
+
 def test_closure_thue_morse_dim1():
     rep = closure_rep(THUE_MORSE_EQ, prefix_oracle("thue_morse", 64))
     assert rep is not None and rep.dim == 1

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from mahlerkit.algebra import Poly
+from dense_series import dense_invert, dense_mul, dense_rational_to_series
+from mahlerkit.algebra import P_ONE, Poly
 from mahlerkit.series import (
     LaurentSeries,
     cartier,
@@ -30,7 +31,7 @@ def test_normalization_and_windows():
 
 
 def test_invert_geometric():
-    inv = LaurentSeries.from_poly(Poly([1, -1]), 5).invert()
+    inv = LaurentSeries.from_poly(P_ONE, 5).div_poly(Poly([1, -1]))
     assert inv.coefficient_list(0, 5) == [1, 1, 1, 1, 1]
     assert inv.order == 5
 
@@ -44,22 +45,71 @@ def test_compose_power_example():
 def test_laurent_multiplication():
     a = LaurentSeries(-1, [1, 1, 0], 2)  # z^-1 + 1 known mod z^2
     b = LaurentSeries(1, [1, 0], 3)  # z known mod z^3
-    prod = a * b
+    prod = a.mul_poly(Poly([0, 1]))  # b as the exact polynomial z
     assert prod.valuation == 0
-    assert prod.order == 2  # min(Oa + vb, Ob + va)
-    assert prod.coefficient_list(0, 2) == [1, 1]
+    assert prod.order == 3  # Oa + val0(z): z is known exactly
+    assert prod.coefficient_list(0, 3) == [1, 1, 0]
+    assert prod.truncate(2) == dense_mul(a, b)  # min(Oa + vb, Ob + va) = 2
 
 
 def test_truncation_order_propagation():
     a = rand_series(random.Random(1), length=10)
     b = rand_series(random.Random(2), length=6)
     assert (a + b).order == 6
-    assert (a * b).order == min(a.order + b.valuation, b.order + a.valuation)
-    inv = LaurentSeries(2, [1, 1, 1, 1], 6).invert()
+    assert a.mul_poly(Poly(b.coeffs)).order == a.order
+    inv = LaurentSeries.from_poly(P_ONE, 4).div_poly(Poly([0, 0, 1, 1, 1, 1]))
     assert inv.valuation == -2 and inv.order == 6 - 4
 
 
 def test_invert_zero_rejected():
+    with pytest.raises(ValueError):
+        LaurentSeries.from_poly(P_ONE, 5).div_poly(Poly())
+    assert LaurentSeries.zero(5).div_poly(Poly([0, 1, 1])) == LaurentSeries.zero(4)
+
+
+def _rand_poly(rng, deg, shift):
+    cs = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(deg)]
+    return Poly(cs + [Fraction(rng.choice((-2, -1, 1, 3)))]).shift(shift)
+
+
+def test_div_poly_matches_dense_reference():
+    rng = random.Random(11)
+    for v in (-2, 0, 3):
+        for s in (0, 1, 3):
+            for _ in range(6):
+                f = rand_series(rng, length=rng.randint(1, 24), valuation=v)
+                q = Poly([rng.choice((-2, 1, Fraction(1, 3)))]).shift(s) + _rand_poly(rng, rng.randint(0, 5), s + 1)
+                g = f.div_poly(q)
+                assert (g.valuation, g.order) == (f.valuation - s, f.order - s)
+                # F / q = F * (1/q) by the dense definition, 1/q known far enough
+                qinv = dense_invert(LaurentSeries.from_poly(q, f.order - f.valuation + 2 * s))
+                assert g == dense_mul(f, qinv)
+                assert g.mul_poly(q) == f  # q G = F exactly
+            assert LaurentSeries.zero(v + 7).div_poly(q) == LaurentSeries.zero(v + 7 - s)
+            with pytest.raises(ValueError):
+                f.div_poly(Poly())
+
+
+def test_mul_poly_matches_dense_reference():
+    rng = random.Random(12)
+    for v in (-2, 0, 3):
+        for s in (0, 1, 3):
+            f = rand_series(rng, length=rng.randint(1, 24), valuation=v)
+            p = _rand_poly(rng, rng.randint(0, 30), s)
+            prod = f.mul_poly(p)
+            assert (prod.valuation, prod.order) == (f.valuation + p.val0(), f.order + p.val0())
+            # p is exact, so it may be known to any order in the reference
+            assert prod == dense_mul(f, LaurentSeries.from_poly(p, f.order - f.valuation + p.degree() + 1))
+
+
+def test_dense_wrappers_keep_orders_and_coefficients():
+    rng = random.Random(13)
+    for _ in range(30):
+        a = rand_series(rng, length=rng.randint(0, 16), valuation=rng.randint(-3, 3))
+        b = rand_series(rng, length=rng.randint(0, 16), valuation=rng.randint(-3, 3))
+        assert a * b == dense_mul(a, b)
+        if not a.is_zero():
+            assert a.invert() == dense_invert(a)
     with pytest.raises(ValueError):
         LaurentSeries.zero(5).invert()
 
@@ -192,3 +242,13 @@ def test_rational_to_series():
     s = rational_to_series(rf, 3)
     assert s.valuation == -1
     assert s.coefficient_list(-1, 3) == [1, 0, 0, 0]
+
+
+def test_rational_to_series_matches_dense_reference():
+    rng = random.Random(14)
+    for _ in range(40):
+        num = _rand_poly(rng, rng.randint(0, 4), rng.randint(0, 3))
+        den = _rand_poly(rng, rng.randint(0, 4), rng.randint(0, 3))
+        order = rng.randint(-2, 12)
+        rf = RationalFunction(num, den)
+        assert rational_to_series(rf, order) == dense_rational_to_series(rf, order)
