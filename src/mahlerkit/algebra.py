@@ -6,6 +6,13 @@ never represented as complex numbers: zero sets are described by cyclotomic
 orders n (the factor Phi_n) with multiplicities, which is enough because
 multiplicities of a Q-polynomial are constant along each Galois orbit.
 
+Integer rule: ``Poly.__mul__`` multiplies on ``int`` when both operands
+have integral coefficients, and ``Poly.divrem`` divides on ``int`` when
+both are integral and the divisor's leading coefficient is +-1 (every
+cyclotomic divisor); otherwise both work on ``Fraction``.  Either way they
+skip the zero terms of the second operand, and the results are identical.
+No other function carries integer polynomial arithmetic of its own.
+
 All values are immutable after construction and all operations are pure.
 """
 
@@ -14,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvariantViolation
 
@@ -27,6 +34,10 @@ def rat_to_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)
+
+
+def _integral(coeffs) -> bool:
+    return all(c.denominator == 1 for c in coeffs)
 
 
 class Poly:
@@ -118,12 +129,14 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        out = [ZERO] * (len(a) + len(b) - 1)
+        terms = [(j, c) for j, c in enumerate(b) if c]
+        if _integral(a) and _integral(c for _, c in terms):
+            a = [c.numerator for c in a]
+            terms = [(j, c.numerator) for j, c in terms]
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb != 0:
+            if ca:
+                for j, cb in terms:
                     out[i + j] += ca * cb
         return Poly(out)
 
@@ -149,21 +162,27 @@ class Poly:
         if other.is_zero():
             raise ValueError("division by zero polynomial")
         rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        db = other.degree()
+        dq = len(rem) - 1 - db
         if dq < 0:
             return Poly(), self
-        quot = [ZERO] * (dq + 1)
         lead = other.coeffs[-1]
-        db = len(other.coeffs) - 1
+        terms = [(j, c) for j, c in enumerate(other.coeffs[:-1]) if c]
+        if lead in (1, -1) and _integral(rem) and _integral(c for _, c in terms):
+            rem = [c.numerator for c in rem]
+            terms = [(j, c.numerator) for j, c in terms]
+            inv = lead.numerator
+        else:
+            inv = 1 / lead
+        quot = [0] * (dq + 1)
         for i in range(dq, -1, -1):
             c = rem[i + db]
-            if c == 0:
-                continue
-            q = c / lead
-            quot[i] = q
-            for j, cb in enumerate(other.coeffs):
-                rem[i + j] -= q * cb
-        return Poly(quot), Poly(rem)
+            if c:
+                q = c * inv
+                quot[i] = q
+                for j, cb in terms:
+                    rem[i + j] -= q * cb
+        return Poly(quot), Poly(rem[:db])
 
     def exact_div(self, other: "Poly") -> "Poly":
         """Division known to be exact; a nonzero remainder is a bug."""
@@ -209,6 +228,19 @@ class Poly:
 
 P_ZERO = Poly()
 P_ONE = Poly([1])
+
+
+def rational_content(polys) -> Fraction:
+    """gcd of the numerators over lcm of the denominators of all
+    coefficients: the positive c that leaves every p / c integral with
+    coefficient gcd 1 (0 when every p is zero)."""
+    denom_lcm = 1
+    numer_gcd = 0
+    for p in polys:
+        for x in p.coeffs:
+            denom_lcm = lcm(denom_lcm, x.denominator)
+            numer_gcd = gcd(numer_gcd, x.numerator)
+    return Fraction(numer_gcd, denom_lcm)
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -273,43 +305,26 @@ def _mobius(n: int) -> int:
     return result
 
 
-def _int_mul_xb_minus_1(a: list[int], b: int) -> list[int]:
-    out = [0] * (len(a) + b)
-    for i, c in enumerate(a):
-        out[i + b] += c
-        out[i] -= c
-    return out
-
-
-def _int_div_xb_minus_1(a: list[int], b: int) -> list[int]:
-    # exact division by z^b - 1: q_m = a_{m+b} + q_{m+b}, from the top down
-    q = [0] * (len(a) - b)
-    for m in range(len(a) - b - 1, -1, -1):
-        q[m] = a[m + b] + (q[m + b] if m + b < len(q) else 0)
-    return q
-
-
 @lru_cache(maxsize=None)
-def _cyclotomic_int(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n via the Moebius product
-    prod_{d | n} (z^d - 1)^mu(n/d), all in integer arithmetic."""
+def cyclotomic(n: int) -> Poly:
+    """The n-th cyclotomic polynomial Phi_n over Z, as the Moebius product
+    prod_{d | n} (z^d - 1)^mu(n/d)."""
     if n < 1:
         raise ValueError("cyclotomic order must be >= 1")
     divisors = [d for d in range(1, n + 1) if n % d == 0]
-    acc = [1]
+    acc = P_ONE
     for d in divisors:
         if _mobius(n // d) == 1:
-            acc = _int_mul_xb_minus_1(acc, d)
+            acc = acc * Poly([-1] + [0] * (d - 1) + [1])
     for d in divisors:
         if _mobius(n // d) == -1:
-            acc = _int_div_xb_minus_1(acc, d)
-    return tuple(acc)
+            acc = acc.exact_div(Poly([-1] + [0] * (d - 1) + [1]))
+    return acc
 
 
 @lru_cache(maxsize=None)
-def cyclotomic(n: int) -> Poly:
-    """The n-th cyclotomic polynomial Phi_n over Z."""
-    return Poly(_cyclotomic_int(n))
+def _cyclotomic_at_2(n: int) -> int:
+    return cyclotomic(n).evaluate(2).numerator
 
 
 def cyclo_multiplicity(p: Poly, n: int) -> int:
@@ -358,65 +373,28 @@ def cyclotomic_profile(p: Poly) -> CyclotomicProfile:
         raise ValueError("zero polynomial has no profile")
     z_power = p.val0()
     rest = p.shift(-z_power)
-    # move to a primitive integer coefficient list; dividing out monic
-    # integer factors keeps it integral, and the scale is restored at the end
-    denom_lcm = 1
-    for c in rest.coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in rest.coeffs]
-    numer_gcd = 0
-    for c in ints:
-        numer_gcd = gcd(numer_gcd, c)
-    ints = [c // numer_gcd for c in ints]
-    scale = Fraction(numer_gcd, denom_lcm)
+    # Phi_n | rest only if Phi_n(2) divides rest(2) / content, an integer
+    content = rational_content([rest])
+    at2 = (rest.evaluate(2) / content).numerator
 
     found = []
     n = 1
-    while len(ints) > 1 and n <= 2 * (len(ints) - 1) ** 2:
-        if euler_phi(n) <= len(ints) - 1:
-            # cheap necessary condition: Phi_n(2) divides p(2) over Z
-            at2 = _int_eval(ints, 2)
-            f2 = _int_eval(list(_cyclotomic_int(n)), 2)
+    while rest.degree() > 0 and n <= 2 * rest.degree() ** 2:
+        if euler_phi(n) <= rest.degree():
+            f2 = _cyclotomic_at_2(n)
             if at2 == 0 or f2 == 1 or at2 % f2 == 0:
-                phi_n = list(_cyclotomic_int(n))
                 e = 0
                 while True:
-                    q = _int_divrem_monic(ints, phi_n)
-                    if q is None:
+                    q, r = rest.divrem(cyclotomic(n))
+                    if r:
                         break
-                    ints = q
+                    rest = q
                     e += 1
                 if e:
                     found.append((n, e))
+                    at2 = (rest.evaluate(2) / content).numerator
         n += 1
-    return CyclotomicProfile(z_power, tuple(found), Poly([scale * c for c in ints]))
-
-
-def _int_eval(cs: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
-def _int_divrem_monic(a: list[int], b: list[int]) -> list[int] | None:
-    """Exact quotient of integer lists for monic b, or None when the
-    division leaves a remainder."""
-    dq = len(a) - len(b)
-    if dq < 0:
-        return None
-    rem = a[:]
-    quot = [0] * (dq + 1)
-    db = len(b) - 1
-    for i in range(dq, -1, -1):
-        c = rem[i + db]
-        if c:
-            quot[i] = c
-            for j, cb in enumerate(b):
-                rem[i + j] -= c * cb
-    if any(rem):
-        return None
-    return quot
+    return CyclotomicProfile(z_power, tuple(found), rest)
 
 
 def multiplicative_order(k: int, n: int) -> int:

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -330,7 +331,10 @@ def cmd_pipeline(args):
 # -- parser ------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; the MAHLERKIT_* bound defaults
+    are read when it is built."""
     d = _defaults()
     parser = argparse.ArgumentParser(
         prog="mahlerkit",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import ceil, gcd
+from math import ceil
 
 from . import linalg
 from .algebra import (
@@ -29,6 +29,7 @@ from .algebra import (
     cyclo_multiplicity,
     norm_over_kth_roots,
     poly_gcd_list,
+    rational_content,
 )
 from .errors import InvariantViolation
 from .series import LaurentSeries
@@ -74,14 +75,7 @@ class MahlerEquation:
         with overall gcd 1, first nonzero coefficient of a_0 positive."""
         g = self.content()
         cs = [c.exact_div(g) if g.degree() > 0 else c for c in self.coeffs]
-        denom_lcm = 1
-        numer_gcd = 0
-        for p in cs:
-            for x in p.coeffs:
-                if x != 0:
-                    denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-                    numer_gcd = gcd(numer_gcd, x.numerator)
-        scale = Fraction(denom_lcm, numer_gcd if numer_gcd else 1)
+        scale = 1 / rational_content(cs)
         cs = [p.scale(scale) for p in cs]
         for p in cs:
             for x in p.coeffs:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -473,6 +474,33 @@ def test_cli_env_var_default_bounds():
     # explicit flags override the environment defaults
     proc = run_cli("--format", "json", "becker-search", g, "--k", "2", "--deg-max", "2", **env)
     assert json.loads(proc.stdout)["verdict"] == "FOUND"
+
+
+def test_cli_builds_one_parser_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    assert cli.main(["corpus", "list"]) == 0
+    assert "stern" in capsys.readouterr().out
+    assert cli.main(["--format", "json", "normalize", OPZ_EQ_JSON]) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == 1
+    assert built.count("mahlerkit") == 1
+
+
+def test_cli_normalize_large_orbit_product_in_time():
+    # k = 10, a_0 = 2 Phi_8^2: N = 3 and Q = prod_{j<3} (1 - z^(10^j))^8,
+    # deg Q = 888, built from sparse integer products and divisions
+    eq = '{"k":10,"coeffs":[["2","0","0","0","4","0","0","0","2"],["1","1"]]}'
+    proc = run_cli("--format", "json", "normalize", eq, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (len(doc["Q"]) - 1, doc["N"]) == (888, 3)
 
 
 def test_cli_malformed_env_var_is_a_usage_error_only_where_used():
