@@ -9,11 +9,9 @@ immutable and operations pure.
 """
 
 from .algebra import (
-    ClassifiedZeros,
     CyclotomicProfile,
     Poly,
     RationalFunction,
-    classify_unity_zeros,
     cyclotomic,
     cyclotomic_profile,
     norm_over_kth_roots,

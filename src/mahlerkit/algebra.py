@@ -397,45 +397,6 @@ def cyclotomic_profile(p: Poly) -> CyclotomicProfile:
     return CyclotomicProfile(z_power, tuple(found), rest)
 
 
-def multiplicative_order(k: int, n: int) -> int:
-    """Least M >= 1 with k^M == 1 (mod n); requires gcd(k, n) = 1."""
-    if n == 1:
-        return 1
-    if gcd(k, n) != 1:
-        raise ValueError("k and n are not coprime")
-    acc = k % n
-    m = 1
-    while acc != 1:
-        acc = (acc * k) % n
-        m += 1
-    return m
-
-
-@dataclass(frozen=True)
-class ClassifiedZeros:
-    """Root-of-unity zeros split by the orbit of z -> z^k.
-
-    ``fixed`` holds orders n with gcd(n, k) = 1 as (n, multiplicity, M)
-    where M is minimal with k^M == 1 (mod n), so the roots satisfy
-    zeta^(k^M) = zeta.  ``set_a`` holds the remaining orders, whose roots
-    never return to themselves under repeated k-th powers.
-    """
-
-    fixed: tuple[tuple[int, int, int], ...]
-    set_a: tuple[tuple[int, int], ...]
-
-
-def classify_unity_zeros(profile: CyclotomicProfile, k: int) -> ClassifiedZeros:
-    fixed = []
-    set_a = []
-    for n, e in profile.cyclo:
-        if gcd(n, k) == 1:
-            fixed.append((n, e, multiplicative_order(k, n)))
-        else:
-            set_a.append((n, e))
-    return ClassifiedZeros(tuple(fixed), tuple(set_a))
-
-
 # -- norms over the k-th roots of unity -----------------------------------
 
 

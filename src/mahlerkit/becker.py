@@ -16,16 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import (
-    P_ONE,
-    Poly,
-    ZERO,
-    classify_unity_zeros,
-    cyclotomic,
-    cyclotomic_profile,
-    euler_phi,
-    poly_gcd,
-)
+from .algebra import P_ONE, Poly, cyclotomic, cyclotomic_profile, euler_phi
 from .errors import InvariantViolation
 # pinned_relation_search is the Becker-form search; it stays importable from here
 from .mahler import MahlerEquation, guess, pinned_relation_search, require_solution, verify  # noqa: F401
@@ -89,41 +80,46 @@ def _stabilization_exponent(k: int, n: int) -> int:
     return m
 
 
-def _inverse_orbit_product(nprime: int, w_power: int) -> Poly:
-    """prod over primitive nprime-th roots xi of (1 - z^(w_power) xi),
-    which equals (Phi_nprime(0) * Phi_nprime(z^(w_power)))."""
-    phi = cyclotomic(nprime)
-    unit = phi.evaluate(ZERO)
-    out = phi.substitute_power(w_power)
-    return out.scale(unit)
+def _psi(n: int) -> Poly:
+    """Psi_n = Phi_n(0) Phi_n, the product over primitive n-th roots xi of
+    (1 - z xi): Phi_n scaled to constant term 1."""
+    phi = cyclotomic(n)
+    return phi.scale(phi.constant())
 
 
 def normalize(eq: MahlerEquation) -> BeckerNormalization:
     """Remove the set-A zeros of a_0 and the z-power, producing the shifted
     equation for G = F / (z^gamma Q).  shifted_solution checks the
-    construction on a solution prefix."""
+    construction on a solution prefix.
+
+    Set A is the orders n of a_0's cyclotomic factors with gcd(n, k) > 1.
+    After N steps of z -> z^k every such n has settled to
+    n' = n / gcd(n, k^N), so with the orbit product
+    B = prod over A of Psi_n'^(e phi(n)/phi(n')) and P = prod Psi_n^e,
+    Q = B(z) B(z^k) ... B(z^(k^(N-1))).  Then Q(z^k)/Q(z) telescopes to
+    B(z^(k^N))/B(z), and h = Q(z^k)/(Q P) = B(z^(k^N)) / (B P)."""
     k = eq.k
     a0 = eq.coeffs[0]
     prof = cyclotomic_profile(a0)
-    classified = classify_unity_zeros(prof, k)
-    set_a = classified.set_a
+    set_a = tuple((n, e) for n, e in prof.cyclo if gcd(n, k) > 1)
 
     n_stab = 1
     for n, _ in set_a:
         n_stab = lcm(n_stab, _stabilization_exponent(k, n))
     k_pow_n = k**n_stab
 
-    q = P_ONE
+    b = P_ONE
     p = P_ONE
     for n, e in set_a:
         nprime = n // gcd(n, k_pow_n)
-        mult = e * (euler_phi(n) // euler_phi(nprime))
-        for j in range(n_stab):
-            q = q * _inverse_orbit_product(nprime, k**j) ** mult
-        p = p * _inverse_orbit_product(n, 1) ** e
+        b = b * _psi(nprime) ** (e * (euler_phi(n) // euler_phi(nprime)))
+        p = p * _psi(n) ** e
+    q = P_ONE
+    for j in range(n_stab):
+        q = q * b.substitute_power(k**j)
     if q.constant() != 1 or p.constant() != 1:
         raise InvariantViolation("Q and P must have constant term 1")
-    h = q.substitute_power(k).exact_div(q * p)
+    h = b.substitute_power(k_pow_n).exact_div(b * p)
 
     gamma = prof.z_power
     q0 = a0.exact_div(p).shift(-gamma)
@@ -140,7 +136,7 @@ def normalize(eq: MahlerEquation) -> BeckerNormalization:
         new_coeffs.append(qi)
     new_eq = MahlerEquation(k, new_coeffs)
 
-    if classify_unity_zeros(cyclotomic_profile(q0), k).set_a:
+    if any(gcd(n, k) > 1 for n, _ in cyclotomic_profile(q0).cyclo):
         raise InvariantViolation("new leading coefficient still has set-A zeros")
 
     return BeckerNormalization(
@@ -193,24 +189,14 @@ def certify_regular(eq: MahlerEquation) -> Certificate:
     )
 
 
-def _fixed_point_gcd(a0: Poly, k: int, m: int) -> Poly:
-    """gcd(a_0, z^(k^M - 1) - 1), computed with z^K reduced mod a_0."""
-    if a0.degree() == 0:
-        return P_ONE
-    base = Poly([0, 1])
-    power = P_ONE
-    e = k**m - 1
-    while e:
-        if e & 1:
-            power = (power * base).divrem(a0)[1]
-        base = (base * base).divrem(a0)[1]
-        e >>= 1
-    return poly_gcd(a0, power - P_ONE)
+def _fixed_point_orders(a0: Poly, k: int, m: int) -> list[int]:
+    """Orders n of a_0's cyclotomic factors whose roots xi satisfy
+    xi^(k^M) = xi, that is n | k^M - 1; these are all of a_0's nonzero
+    zeros fixed by z -> z^(k^M)."""
+    return [n for n, _ in cyclotomic_profile(a0).cyclo if (k**m - 1) % n == 0]
 
 
-def certify_irregular(
-    eq: MahlerEquation, f: LaurentSeries, m_max: int = 3, margin: int = 16
-) -> Certificate:
+def certify_irregular(eq: MahlerEquation, f: LaurentSeries, m_max: int = 3) -> Certificate:
     """Pole-growth certificate: for M = 1..m_max take a base-k^M equation
     for f (the input at M = 1, guessed from the prefix otherwise), divide
     out the content, and fire NOT_REGULAR when the leading coefficient
@@ -236,7 +222,7 @@ def certify_irregular(
             )
             if cand.d > 1:
                 try:
-                    lowered = guess(f, k, cand.d - 1, bound, margin)
+                    lowered = guess(f, k, cand.d - 1, bound)
                 except ValueError:
                     lowered = None
                     notes.append("M=1: prefix too short to probe lower degrees")
@@ -249,7 +235,7 @@ def certify_irregular(
         else:
             bound = b0 * (k**m - 1) // (k - 1)
             try:
-                cand = guess(f, k**m, eq.d, bound, margin)
+                cand = guess(f, k**m, eq.d, bound)
             except ValueError:
                 notes.append("M=%d: prefix too short for bounds (%d, %d)" % (m, eq.d, bound))
                 continue
@@ -262,14 +248,12 @@ def certify_irregular(
             )
         if cand.d == 1:
             minimality = "unconditional (degree 1, nonzero series)"
-        a0 = cand.coeffs[0]
-        g = _fixed_point_gcd(a0, k, m)
-        if g.degree() > 0:
-            order = min(n for n, _ in cyclotomic_profile(g).cyclo)
+        orders = _fixed_point_orders(cand.coeffs[0], k, m)
+        if orders:
             return Certificate(
                 NOT_REGULAR,
                 proposition="prop0",
-                order=order,
+                order=min(orders),
                 M=m,
                 equation=cand,
                 minimality=minimality,
@@ -339,9 +323,7 @@ def structure_decompose(
     return big_j.truncate(min(f.order, max(order, 1) + f.valuation)), gamma_poly, rho, delta
 
 
-def reciprocal_rep(
-    q: Poly, k: int, max_dim: int = 16, max_depth: int = 32, order: int = 64
-) -> LinearRepresentation:
+def reciprocal_rep(q: Poly, k: int) -> LinearRepresentation:
     """Representation of the reciprocal series 1/Q(z) for Q(0) = 1.
 
     The gate is certify_regular on the degree-1 equation with leading
@@ -366,8 +348,8 @@ def reciprocal_rep(
             if gate.verdict != REGULAR:
                 raise ValueError("certificate rejected Q: %s" % gate.note)
             heq = MahlerEquation(k, [q, -qk])
-    series = LaurentSeries.from_poly(P_ONE, order).div_poly(q)
-    rep = closure_rep(heq, series, max_dim=max_dim, max_depth=max_depth)
+    series = LaurentSeries.from_poly(P_ONE, 64).div_poly(q)
+    rep = closure_rep(heq, series)
     if rep is None:
         raise InvariantViolation("closure caps exceeded for an accepted Q")
     return rep

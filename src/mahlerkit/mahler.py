@@ -76,17 +76,9 @@ class MahlerEquation:
         g = self.content()
         cs = [c.exact_div(g) if g.degree() > 0 else c for c in self.coeffs]
         scale = 1 / rational_content(cs)
-        cs = [p.scale(scale) for p in cs]
-        for p in cs:
-            for x in p.coeffs:
-                if x != 0:
-                    if x < 0:
-                        cs = [q.scale(-1) for q in cs]
-                    break
-            else:
-                continue
-            break
-        return MahlerEquation(self.k, cs)
+        if cs[0].coeffs[cs[0].val0()] < 0:
+            scale = -scale
+        return MahlerEquation(self.k, [p.scale(scale) for p in cs])
 
     def is_associate(self, other: "MahlerEquation") -> bool:
         return self.primitive() == other.primitive()
@@ -306,9 +298,7 @@ def guess(
     return None
 
 
-def pinned_relation_search(
-    f: LaurentSeries, k: int, depth_max: int, deg_max: int, margin: int = 16
-) -> MahlerEquation | None:
+def pinned_relation_search(f: LaurentSeries, k: int, depth_max: int, deg_max: int) -> MahlerEquation | None:
     """Search for f = sum_{j=1..D} b_j(z) f(z^(k^j)) with polynomial b_j.
 
     Depth is minimized first; one solve at the full degree bound decides
@@ -317,8 +307,9 @@ def pinned_relation_search(
 
     Every attempt's columns are among those of (depth_max, deg_max) with
     a_0's constant column, so when that homogeneous system has a trivial
-    kernel, no attempt can succeed and None is returned at once."""
-    _check_prefix(f, k, depth_max, deg_max, margin)
+    kernel, no attempt can succeed and None is returned at once.  The
+    prefix must exceed the unknown count by guess's default margin, 16."""
+    _check_prefix(f, k, depth_max, deg_max, 16)
 
     def attempt(depth, bound):
         # a_0's constant column goes last, where affine_solution puts its 1

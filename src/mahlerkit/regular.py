@@ -201,19 +201,12 @@ def _system_matrix(rep):
     when row * A_0 != row; appending the constant series 1 absorbs it.
     Returns (B, chat, ellhat)."""
     d = rep.dim
-    p = [[P_ZERO] * d for _ in range(d)]
-    for r, m in enumerate(rep.matrices):
-        for i in range(d):
-            for j in range(d):
-                c = m[i][j]
-                if c != 0:
-                    p[i][j] = p[i][j] + Poly([ZERO] * r + [c])
+    bmat = [[Poly([m[j][i] for m in rep.matrices]) for j in range(d)] for i in range(d)]
     row_a0 = tuple(
         sum((rep.row[i] * rep.matrices[0][i][j] for i in range(d)), ZERO)
         for j in range(d)
     )
     fixup = [rep.row[j] - row_a0[j] for j in range(d)]
-    bmat = [[p[j][i] for j in range(d)] for i in range(d)]  # transpose
     if any(c != 0 for c in fixup):
         for i in range(d):
             bmat[i].append(Poly([fixup[i]]))

@@ -9,7 +9,6 @@ from mahlerkit.algebra import (
     RF_ZERO,
     Poly,
     RationalFunction,
-    classify_unity_zeros,
     cyclo_multiplicity,
     cyclotomic,
     cyclotomic_profile,
@@ -19,6 +18,8 @@ from mahlerkit.algebra import (
     poly_gcd_list,
     rat_to_str,
 )
+from mahlerkit.becker import normalize
+from mahlerkit.mahler import MahlerEquation
 
 
 def P(*cs):
@@ -199,14 +200,16 @@ def test_profile_reconstruction_random():
         assert cyclotomic_profile(prof.remainder).cyclo == ()
 
 
+def _set_a(k, n):
+    # set A of a_0 = Phi_n, read off the normalization of Phi_n F = F(z^k)
+    return normalize(MahlerEquation(k, [cyclotomic(n), P(-1)])).set_a
+
+
 def test_classify_examples():
-    prof = cyclotomic_profile(P(1, -1))
-    cz = classify_unity_zeros(prof, 2)
-    assert cz.fixed == ((1, 1, 1),) and cz.set_a == ()
-    cz = classify_unity_zeros(cyclotomic_profile(P(1, 1)), 2)
-    assert cz.set_a == ((2, 1),) and cz.fixed == ()
-    cz = classify_unity_zeros(cyclotomic_profile(P(1, 1, 1)), 2)
-    assert cz.fixed == ((3, 1, 2),)  # 2^2 = 4 = 1 mod 3
+    assert _set_a(2, 1) == ()
+    assert _set_a(2, 2) == ((2, 1),)
+    assert _set_a(2, 3) == ()  # 2^2 = 4 = 1 mod 3
+    assert _set_a(3, 6) == ((6, 1),)
 
 
 def test_classify_matches_orbit_iteration():
@@ -215,7 +218,7 @@ def test_classify_matches_orbit_iteration():
     for _ in range(40):
         n = rng.randint(1, 30)
         k = rng.randint(2, 5)
-        cz = classify_unity_zeros(cyclotomic_profile(cyclotomic(n)), k)
+        set_a = _set_a(k, n)
         # brute force: does k^M = 1 mod n have a solution?
         seen = set()
         e = k % n
@@ -227,9 +230,9 @@ def test_classify_matches_orbit_iteration():
                 break
             e = (e * k) % n
         if returns:
-            assert cz.set_a == () and len(cz.fixed) == 1
+            assert set_a == ()
         else:
-            assert cz.fixed == () and len(cz.set_a) == 1
+            assert set_a == ((n, 1),)
 
 
 def test_cyclo_multiplicity_and_rational_functions():

@@ -1,4 +1,5 @@
-"""Poly arithmetic and the cyclotomic machinery against sympy.
+"""Poly arithmetic and the cyclotomic machinery against sympy, and the
+fixed-point orders that certify_irregular reads off a cyclotomic profile.
 
 Poly.__mul__ and Poly.divrem run on int when their operands allow it and
 on Fraction otherwise; every operand family below is chosen so that both
@@ -12,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from mahlerkit.algebra import Poly, cyclotomic, cyclotomic_profile, rational_content
+from mahlerkit.becker import _fixed_point_orders
 from mahlerkit.errors import InvariantViolation
 from mahlerkit.mahler import MahlerEquation
 
@@ -154,6 +156,26 @@ def test_cyclotomic_profile_matches_sympy_factor_list(seed):
         prof = cyclotomic_profile(p)
         assert (prof.z_power, prof.cyclo, prof.remainder) == sympy_profile(p)
         assert prof.reconstruct() == p
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fixed_point_orders_match_sympy_gcd(seed):
+    # the orders n with Phi_n | gcd(a_0, z^(k^M - 1) - 1) are exactly the
+    # cyclotomic orders of a_0's nonzero zeros fixed by z -> z^(k^M)
+    rng = random.Random(950 + seed)
+    for _ in range(6):
+        cofactor = Poly([rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [rng.choice([-3, 2, 5])])
+        a0 = cofactor.shift(rng.randint(0, 2))
+        for _ in range(rng.randint(1, 3)):
+            a0 = a0 * cyclotomic(rng.randint(1, 30))
+        for k in (2, 3):
+            for m in (1, 2, 3):
+                big = k**m - 1
+                g = sympy.gcd(to_sympy(a0).as_expr(), Z**big - 1)
+                expected = [
+                    n for n in sympy.divisors(big) if sympy.rem(g, sympy.cyclotomic_poly(n, Z), Z) == 0
+                ]
+                assert _fixed_point_orders(a0, k, m) == expected, (a0, k, m)
 
 
 def test_rational_content():

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -501,6 +502,31 @@ def test_cli_normalize_large_orbit_product_in_time():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert (len(doc["Q"]) - 1, doc["N"]) == (888, 3)
+
+
+def _mod_eval(coeffs, x, prime):
+    """A JSON polynomial (rational strings, ascending) at x mod prime."""
+    acc = 0
+    for c in reversed(coeffs):
+        c = Fraction(c)
+        acc = (acc * x + c.numerator * pow(c.denominator, -1, prime)) % prime
+    return acc
+
+
+def test_cli_normalize_phi26_in_time():
+    # k = 2, a_0 = Phi_26: 2 has order 12 mod 13, so N = 12, the orbit
+    # product is B = Psi_13 and Q = prod_{j<12} B(z^(2^j)) has degree
+    # 12 (2^12 - 1) = 49,140; h is checked at one point mod a prime
+    eq = '{"k":2,"coeffs":[["1","-1","1","-1","1","-1","1","-1","1","-1","1","-1","1"],["-1"]]}'
+    proc = run_cli("--format", "json", "normalize", eq, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["N"], len(doc["Q"]) - 1) == (12, 49140)
+    prime = 2**31 - 1
+    x = random.Random(26).randrange(2, prime)
+    q_sq = _mod_eval(doc["Q"], x * x % prime, prime)
+    rhs = _mod_eval(doc["Q"], x, prime) * _mod_eval(doc["P"], x, prime) * _mod_eval(doc["h"], x, prime)
+    assert q_sq == rhs % prime
 
 
 def test_cli_malformed_env_var_is_a_usage_error_only_where_used():
