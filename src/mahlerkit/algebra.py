@@ -400,60 +400,41 @@ def cyclotomic_profile(p: Poly) -> CyclotomicProfile:
 # -- norms over the k-th roots of unity -----------------------------------
 
 
-def _poly_mat_det(rows: list[list[Poly]]) -> Poly:
-    """Determinant of a polynomial matrix by fraction-free elimination."""
-    n = len(rows)
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = P_ONE
-    for col in range(n - 1):
-        pivot = None
-        for i in range(col, n):
-            if not m[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            return P_ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                m[i][j] = (m[i][j] * m[col][col] - m[i][col] * m[col][j]).exact_div(prev)
-            m[i][col] = P_ZERO
-        prev = m[col][col]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def norm_over_kth_roots(q: Poly, k: int) -> Poly:
     """The polynomial N with N(z^k) equal to the product of q(w*z) over w^k = 1.
 
-    Splitting q into its k sections q(z) = sum_r z^r B_r(z^k) turns the
-    product over the k-th roots of unity into the determinant of the k x k
-    circulant matrix with entries z^r B_r(z^k), so everything stays in Q[z].
-    N(z^k) agrees with the product including leading coefficients, hence q
-    divides N(z^k) exactly.
+    Write q = c z^v prod_i (1 - alpha_i z).  The power sums s_m of the
+    alpha_i are the coefficients of -z q'/q, and the product of
+    (1 - alpha_i w z) over w^k = 1 is 1 - alpha_i^k z^k, so Newton's
+    identities on s_k, s_2k, ... give back prod_i (1 - alpha_i^k x) and
+    N = (-1)^((k-1)v) c^k x^v prod_i (1 - alpha_i^k x).  N(z^k) agrees with
+    the product including leading coefficients, hence q divides N(z^k)
+    exactly.
     """
     if q.is_zero():
         raise ValueError("norm of the zero polynomial")
-    if k == 1:
-        return q
     if k < 1:
         raise ValueError("k must be >= 1")
-    sections = []
-    for r in range(k):
-        b = Poly(q.coeffs[r::k])
-        sections.append(b.substitute_power(k).shift(r))
-    rows = [[sections[(j - i) % k] for j in range(k)] for i in range(k)]
-    det = _poly_mat_det(rows)
-    out = [ZERO] * (det.degree() // k + 1) if not det.is_zero() else []
-    for i, c in enumerate(det.coeffs):
-        if c != 0:
-            if i % k != 0:
-                raise InvariantViolation("norm is not a polynomial in z^k")
-            out[i // k] = c
-    return Poly(out)
+    v = q.val0()
+    c = q.coeffs[v]
+    a = [x / c for x in q.coeffs[v:]]
+    n = len(a) - 1
+    terms = [(j, x) for j, x in enumerate(a) if x and j]
+    # m a_m = -sum_{i=1..m} s_i a_(m-i), with a_0 = 1
+    s = [ZERO]
+    for m in range(1, k * n + 1):
+        acc = -m * a[m] if m <= n else ZERO
+        for j, x in terms:
+            if j >= m:
+                break
+            acc -= x * s[m - j]
+        s.append(acc)
+    # j e_j = -sum_{i=1..j} s_(ik) e_(j-i) for the coefficients e of prod (1 - alpha_i^k x)
+    e = [ONE]
+    for j in range(1, n + 1):
+        e.append(-sum((s[i * k] * e[j - i] for i in range(1, j + 1)), ZERO) / j)
+    lead = c**k if (k - 1) * v % 2 == 0 else -(c**k)
+    return Poly([ZERO] * v + [lead * x for x in e])
 
 
 class RationalFunction:
@@ -492,9 +473,6 @@ class RationalFunction:
     def __bool__(self):
         return bool(self.num)
 
-    def is_polynomial(self) -> bool:
-        return self.den == P_ONE
-
     def __eq__(self, other):
         return (
             isinstance(other, RationalFunction)
@@ -506,7 +484,7 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        if self.is_polynomial():
+        if self.den == P_ONE:
             return "RF(%r)" % self.num
         return "RF(%r / %r)" % (self.num, self.den)
 
@@ -539,18 +517,6 @@ class RationalFunction:
         return RationalFunction(
             self.num.substitute_power(m), self.den.substitute_power(m), _reduced=True
         )
-
-    def val0(self) -> int:
-        """Order of the zero at z = 0 (negative for a pole)."""
-        if self.is_zero():
-            raise ValueError("zero rational function has no valuation")
-        return self.num.val0() - self.den.val0()
-
-    def cyclo_valuation(self, n: int) -> int:
-        """Order of the zero along the roots of Phi_n (negative for poles)."""
-        if self.is_zero():
-            raise ValueError("zero rational function has no valuation")
-        return cyclo_multiplicity(self.num, n) - cyclo_multiplicity(self.den, n)
 
 
 RF_ZERO = RationalFunction(P_ZERO)

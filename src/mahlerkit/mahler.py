@@ -21,6 +21,7 @@ from math import ceil
 from . import linalg
 from .algebra import (
     P_ONE,
+    P_ZERO,
     Poly,
     RationalFunction,
     RF_ZERO,
@@ -411,18 +412,26 @@ def pole_profile(eq: MahlerEquation, n_order: int, n_max: int) -> list[int]:
 
 @dataclass(frozen=True)
 class CoordinateVector:
-    """Coordinates (h_1, ..., h_d) of sum_i h_i(z) F(z^(k^(i-1)))."""
+    """Coordinates (h_1/den, ..., h_d/den) of sum_i (h_i/den)(z) F(z^(k^(i-1))):
+    polynomial numerators over one denominator."""
 
-    entries: tuple[RationalFunction, ...]
+    nums: tuple[Poly, ...]
+    den: Poly
 
     @classmethod
-    def unit(cls, d: int, i: int = 0) -> "CoordinateVector":
-        entries = [RF_ZERO] * d
-        entries[i] = RationalFunction.from_poly(P_ONE)
-        return cls(tuple(entries))
+    def reduced(cls, nums, den: Poly) -> "CoordinateVector":
+        """nums/den with gcd(den, nums...) divided out and den monic, so
+        that equal vectors compare equal."""
+        g = poly_gcd_list([den, *nums])
+        lead = den.leading()
+        return cls(tuple(p.exact_div(g).scale(1 / lead) for p in nums), den.exact_div(g).monic())
+
+    @classmethod
+    def unit(cls, d: int) -> "CoordinateVector":
+        return cls((P_ONE,) + (P_ZERO,) * (d - 1), P_ONE)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return all(p.is_zero() for p in self.nums)
 
 
 def cartier_poly(p: Poly, k: int, r: int) -> Poly:
@@ -430,59 +439,45 @@ def cartier_poly(p: Poly, k: int, r: int) -> Poly:
     return Poly(p.coeffs[r::k])
 
 
-def cartier_rational(rf: RationalFunction, k: int, r: int) -> RationalFunction:
-    """Section of a rational function, exactly.
-
-    Multiplying numerator and denominator by the norm cofactor rewrites
-    rf = u(z) / N(z^k); the substituted denominator passes through the
-    section operator, leaving the polynomial section of u over N(z).
-    """
-    if rf.is_zero():
-        return RF_ZERO
-    if rf.is_polynomial():
-        return RationalFunction.from_poly(cartier_poly(rf.num, k, r))
-    n = norm_over_kth_roots(rf.den, k)
-    cof = n.substitute_power(k).exact_div(rf.den)
-    return RationalFunction(cartier_poly(rf.num * cof, k, r), n)
-
-
-def cartier_coordinates(
-    eq: MahlerEquation, vec: CoordinateVector, r: int
-) -> CoordinateVector:
-    """Apply the section operator Lambda_r to a coordinate vector.
+def cartier_coordinates(eq: MahlerEquation, vec: CoordinateVector) -> list[CoordinateVector]:
+    """The images [Lambda_0 vec, ..., Lambda_(k-1) vec] under the section operators.
 
     The F(z) component is first rewritten through the equation,
     F = -sum_{i>=1} (a_i/a_0) F(z^(k^i)), after which every term has the
-    form g_i(z) F(z^(k^i)) and Lambda_r(g_i F(z^(k^i))) =
-    Lambda_r(g_i) F(z^(k^(i-1))).
+    form (u_i/D)(z) F(z^(k^i)) over one denominator D, and
+    Lambda_r((u_i/D) F(z^(k^i))) = Lambda_r(u_i/D) F(z^(k^(i-1))).
+    With D's norm N and cofactor C = N(z^k)/D, u_i/D = u_i C / N(z^k), and
+    the substituted denominator passes through the section operator:
+    Lambda_r(u_i/D) = Lambda_r(u_i C)/N, one norm for all k images.
     """
-    d = eq.d
-    if len(vec.entries) != d:
+    d, k = eq.d, eq.k
+    if len(vec.nums) != d:
         raise ValueError("coordinate vector has wrong length")
-    a0 = eq.coeffs[0]
-    h1 = vec.entries[0]
-    new = []
-    for i in range(1, d + 1):
-        gi = RF_ZERO if i == d else vec.entries[i]
-        if not h1.is_zero():
-            gi = gi - h1 * RationalFunction(eq.coeffs[i], a0)
-        new.append(cartier_rational(gi, eq.k, r))
-    return CoordinateVector(tuple(new))
+    h = vec.nums + (P_ZERO,)
+    if h[0].is_zero():
+        u, den = h[1:], vec.den
+    else:
+        a0 = eq.coeffs[0]
+        u = [h[i] * a0 - h[0] * eq.coeffs[i] for i in range(1, d + 1)]
+        den = vec.den * a0
+    norm = norm_over_kth_roots(den, k)
+    cof = norm.substitute_power(k).exact_div(den)
+    u = [p * cof for p in u]
+    return [CoordinateVector.reduced([cartier_poly(p, k, r) for p in u], norm) for r in range(k)]
 
 
 def coordinate_series(
     eq: MahlerEquation, vec: CoordinateVector, f: LaurentSeries, order: int
 ) -> LaurentSeries:
-    """Expand a coordinate vector into a series using a solution prefix."""
-    acc = None
-    for t, entry in enumerate(vec.entries):
-        if entry.is_zero():
-            term = LaurentSeries.zero(order)
-        else:
-            # F(z^(k^t)) is needed to order - val0(num) + val0(den) only
+    """Expand a coordinate vector into a series using a solution prefix:
+    the numerators' sum to order + val0(den), then one division by den."""
+    top = order + vec.den.val0()
+    acc = LaurentSeries.zero(top)
+    for t, num in enumerate(vec.nums):
+        if not num.is_zero():
+            # F(z^(k^t)) is needed to top - val0(num) only
             m = eq.k**t
-            stop = -((entry.num.val0() - entry.den.val0() - order) // m)
+            stop = -((num.val0() - top) // m)
             ft = (f.truncate(stop) if stop < f.order else f).compose_power(m)
-            term = ft.mul_poly(entry.num).div_poly(entry.den)
-        acc = term if acc is None else acc + term
-    return acc.truncate(order) if acc.order > order else acc
+            acc = acc + ft.mul_poly(num)
+    return acc.div_poly(vec.den)

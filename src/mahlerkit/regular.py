@@ -106,21 +106,16 @@ def series_of_rep(rep: LinearRepresentation, order: int) -> LaurentSeries:
 
 
 def _linearize(vectors):
-    """Rows of a Q-matrix whose columns are the given coordinate vectors."""
-    d = len(vectors[0].entries)
+    """Rows of a Q-matrix whose columns are the given coordinate vectors,
+    their numerators brought over one common denominator."""
+    den = P_ONE
+    for v in vectors:
+        den = poly_lcm(den, v.den)
+    cols = [[p * den.exact_div(v.den) for p in v.nums] for v in vectors]
     rows = []
-    for t in range(d):
-        den = P_ONE
-        for v in vectors:
-            if not v.entries[t].is_zero():
-                den = poly_lcm(den, v.entries[t].den)
-        polys = []
-        for v in vectors:
-            e = v.entries[t]
-            polys.append(P_ZERO if e.is_zero() else e.num * den.exact_div(e.den))
-        degmax = max((p.degree() for p in polys), default=-1)
-        for exp in range(degmax + 1):
-            rows.append([p.coefficient(exp) for p in polys])
+    for t in range(len(cols[0])):
+        for exp in range(max(c[t].degree() for c in cols) + 1):
+            rows.append([c[t].coefficient(exp) for c in cols])
     return rows
 
 
@@ -163,8 +158,7 @@ def closure_rep(
     queue = deque([0])
     while queue:
         j = queue.popleft()
-        for r in range(k):
-            w = cartier_coordinates(eq, basis[j], r)
+        for r, w in enumerate(cartier_coordinates(eq, basis[j])):
             coords = _coordinates_in_span(basis, w)
             if coords is None:
                 if len(basis) >= max_dim or depth[j] + 1 > max_depth:

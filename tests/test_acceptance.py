@@ -35,8 +35,9 @@ from mahlerkit.corpus import (
     paradox_family,
 )
 from mahlerkit.mahler import (
+    CoordinateVector,
     MahlerEquation,
-    cartier_rational,
+    cartier_coordinates,
     pinned_relation_search,
     pole_profile,
     solve_series,
@@ -224,9 +225,11 @@ def test_criterion_6_property_suites():
         c = RationalFunction(num, den)
         base = cyclo_multiplicity(c.num, n) - cyclo_multiplicity(c.den, n)
         nprime = n // gcd(n, k)
+        # F = F(z^k) maps the coordinate c to its sections
+        images = cartier_coordinates(MahlerEquation(k, [P(1), P(-1)]), CoordinateVector((c.num,), c.den))
         vals = [
-            cyclo_multiplicity(img.num, nprime) - cyclo_multiplicity(img.den, nprime)
-            for img in (cartier_rational(c, k, r) for r in range(k))
+            cyclo_multiplicity(img.nums[0], nprime) - cyclo_multiplicity(img.den, nprime)
+            for img in images
             if not img.is_zero()
         ]
         assert vals and min(vals) <= base

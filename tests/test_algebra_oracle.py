@@ -1,5 +1,6 @@
-"""Poly arithmetic and the cyclotomic machinery against sympy, and the
-fixed-point orders that certify_irregular reads off a cyclotomic profile.
+"""Poly arithmetic, the cyclotomic machinery and the norm over the k-th
+roots of unity against sympy, and the fixed-point orders that
+certify_irregular reads off a cyclotomic profile.
 
 Poly.__mul__ and Poly.divrem run on int when their operands allow it and
 on Fraction otherwise; every operand family below is chosen so that both
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from mahlerkit.algebra import Poly, cyclotomic, cyclotomic_profile, rational_content
+from mahlerkit.algebra import Poly, cyclotomic, cyclotomic_profile, norm_over_kth_roots, rational_content
 from mahlerkit.becker import _fixed_point_orders
 from mahlerkit.errors import InvariantViolation
 from mahlerkit.mahler import MahlerEquation
@@ -176,6 +177,29 @@ def test_fixed_point_orders_match_sympy_gcd(seed):
                     n for n in sympy.divisors(big) if sympy.rem(g, sympy.cyclotomic_poly(n, Z), Z) == 0
                 ]
                 assert _fixed_point_orders(a0, k, m) == expected, (a0, k, m)
+
+
+X = sympy.Symbol("x")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_norm_over_kth_roots_matches_sympy_resultant(seed):
+    # Res_y(q(y), y^k - x) is prod over w^k = 1 of q(w z) at z^k = x up to
+    # sign; N's leading coefficient is lc(q)^k (-1)^((k-1) deg q)
+    rng = random.Random(970 + seed)
+    for k in (2, 3, 4, 5, 7, 10):
+        for _ in range(3):
+            if rng.random() < 0.2:
+                q = Poly([Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))])
+            else:
+                q = rand_rat_poly(rng, rng.randint(0, 7)).shift(rng.randint(0, 2))
+            y = sympy.Symbol("y")
+            res = sympy.Poly(sympy.resultant(to_sympy(q).as_expr().subs(Z, y), y**k - X, y), X, domain="QQ")
+            lead = sympy.Rational(q.leading().numerator, q.leading().denominator) ** k * (-1) ** ((k - 1) * q.degree())
+            expected = (res * (lead / res.LC())).all_coeffs()
+            n = norm_over_kth_roots(q, k)
+            assert n == Poly([Fraction(int(c.p), int(c.q)) for c in reversed(expected)]), (q, k)
+            assert n.substitute_power(k).divrem(q)[1].is_zero()
 
 
 def test_rational_content():

@@ -21,7 +21,6 @@ from mahlerkit.mahler import (
     VerifyResult,
     b_product,
     cartier_coordinates,
-    cartier_rational,
     companion,
     coordinate_series,
     guess,
@@ -267,17 +266,16 @@ def test_pole_profile_examples():
 
 def test_cartier_coordinates_thue_morse():
     e1 = CoordinateVector.unit(1)
-    out0 = cartier_coordinates(THUE_MORSE_EQ, e1, 0)
-    out1 = cartier_coordinates(THUE_MORSE_EQ, e1, 1)
-    assert out0.entries[0] == RationalFunction(P(1))
-    assert out1.entries[0] == RationalFunction(P(-1))
+    out0, out1 = cartier_coordinates(THUE_MORSE_EQ, e1)
+    assert out0 == CoordinateVector((P(1),), P_ONE)
+    assert out1 == CoordinateVector((P(-1),), P_ONE)
 
 
 @pytest.mark.parametrize("r", [0, 1])
 def test_cartier_coordinates_match_series(r):
     s = prefix_oracle("stern", 96)
-    vec = CoordinateVector((RationalFunction(P(1, 2), P(1, 0, 3)),))
-    out = cartier_coordinates(STERN_EQ, vec, r)
+    vec = CoordinateVector((P(1, 2),), P(1, 0, 3))
+    out = cartier_coordinates(STERN_EQ, vec)[r]
     lhs = coordinate_series(STERN_EQ, out, s, 32)
     rhs = cartier(coordinate_series(STERN_EQ, vec, s, 70), 2, r)
     assert lhs.agrees_with(rhs, 32)
@@ -290,8 +288,7 @@ def test_cartier_coordinates_with_z_power_leading():
     f = solve_series(eq, 96)
     f = [b for b in f if b.valuation == 0][0]
     vec = CoordinateVector.unit(2)
-    for r in range(2):
-        out = cartier_coordinates(eq, vec, r)
+    for r, out in enumerate(cartier_coordinates(eq, vec)):
         lhs = coordinate_series(eq, out, f, 16)
         rhs = cartier(coordinate_series(eq, vec, f, 40), 2, r)
         assert lhs.agrees_with(rhs, 16)
@@ -301,7 +298,8 @@ def _dense_coordinate_series(eq, vec, f, order):
     """coordinate_series by its first formula: expand each entry as a
     rational function and multiply it densely into F(z^(k^t))."""
     acc = None
-    for t, entry in enumerate(vec.entries):
+    for t, num in enumerate(vec.nums):
+        entry = RationalFunction(num, vec.den)
         ft = f.compose_power(eq.k**t)
         if entry.is_zero():
             term = LaurentSeries.zero(order)
@@ -317,8 +315,7 @@ def _closure_basis(eq, max_dim=8):
     them (the binary-partition closure never ends)."""
     basis = [CoordinateVector.unit(eq.d)]
     for vec in basis:
-        for r in range(eq.k):
-            w = cartier_coordinates(eq, vec, r)
+        for w in cartier_coordinates(eq, vec):
             if _coordinates_in_span(basis, w) is None:
                 if len(basis) == max_dim:
                     return basis
@@ -373,11 +370,10 @@ def test_section_never_increases_every_valuation():
         base = _cyclo_val(c, n)
         nprime = n // __import__("math").gcd(n, k)
         vals = []
-        for r in range(k):
-            img = cartier_rational(c, k, r)
-            if img.is_zero():
-                continue
-            vals.append(_cyclo_val(img, nprime))
+        # F = F(z^k) maps the coordinate c to its sections
+        for img in cartier_coordinates(MahlerEquation(k, [P(1), P(-1)]), CoordinateVector((c.num,), c.den)):
+            if not img.is_zero():
+                vals.append(_cyclo_val(RationalFunction(img.nums[0], img.den), nprime))
         assert vals and min(vals) <= base
         checked += 1
     assert checked >= 40

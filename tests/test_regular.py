@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from mahlerkit.algebra import Poly
+from mahlerkit import jsonio, mahler
+from mahlerkit.algebra import Poly, cyclotomic
+from mahlerkit.corpus import CLOSURE_CAPS, corpus_names
 from mahlerkit.mahler import MahlerEquation, solve_series, verify
 from mahlerkit.regular import (
     LinearRepresentation,
@@ -204,3 +207,26 @@ def test_round_trip_preserves_values():
     rep2 = closure_rep(eq, series_of_rep(CONST_ONE_REP, 300))
     for n in range(256):
         assert eval_rep(rep2, n) == 1
+
+
+def test_closure_takes_one_norm_per_basis_vector(monkeypatch):
+    # one section step gives all k images of a basis vector from one norm
+    corpus_dir = Path(__file__).resolve().parents[1] / "src" / "mahlerkit" / "data" / "corpus"
+    cases = []
+    for name in corpus_names():
+        item = jsonio.corpus_item_from_json(jsonio.loads_strict((corpus_dir / ("%s.json" % name)).read_text()))
+        if item.expected["closure_dim"] is not None:
+            cases.append((item.equation, item.prefix, item.expected["closure_dim"]))
+    # a_0 with set-A factors: Phi_3 Phi_6 at k = 3, Phi_2 Phi_5 at k = 10
+    for eq, dim in (
+        (MahlerEquation(3, [cyclotomic(3) * cyclotomic(6), P(0, 1), P(-1, 1)]), 5),
+        (MahlerEquation(10, [cyclotomic(2) * cyclotomic(5), P(-1, -1)]), 2),
+    ):
+        cases.append((eq, solve_series(eq, 64)[0], dim))
+    norm = mahler.norm_over_kth_roots
+    for eq, f, dim in cases:
+        calls = []
+        monkeypatch.setattr(mahler, "norm_over_kth_roots", lambda q, k: calls.append(q) or norm(q, k))
+        rep = closure_rep(eq, f, **CLOSURE_CAPS)
+        assert rep.dim == dim
+        assert len(calls) == rep.dim
