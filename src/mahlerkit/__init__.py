@@ -27,7 +27,6 @@ from .becker import (
     certify_irregular,
     certify_regular,
     normalize,
-    reciprocal_rep,
     shifted_solution,
     structure_decompose,
     witness_equation,
@@ -36,8 +35,6 @@ from .corpus import (
     CorpusItem,
     ParadoxFamily,
     build_corpus,
-    independence_check,
-    no_becker_multiple_probe,
     paradox_family,
 )
 from .errors import InvariantViolation
@@ -45,7 +42,6 @@ from .mahler import (
     CoordinateVector,
     MahlerEquation,
     VerifyResult,
-    b_product,
     cartier_coordinates,
     companion,
     guess,
@@ -66,8 +62,6 @@ from .series import (
     LaurentSeries,
     cartier,
     prefix_oracle,
-    rational_to_series,
-    sections_recompose,
 )
 
 __version__ = "0.1.0"

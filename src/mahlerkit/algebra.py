@@ -355,12 +355,6 @@ class CyclotomicProfile:
     cyclo: tuple[tuple[int, int], ...]
     remainder: Poly
 
-    def reconstruct(self) -> Poly:
-        p = self.remainder.shift(self.z_power)
-        for n, e in self.cyclo:
-            p = p * cyclotomic(n) ** e
-        return p
-
 
 def cyclotomic_profile(p: Poly) -> CyclotomicProfile:
     """Detect every cyclotomic factor of p with exact multiplicity.

@@ -203,8 +203,10 @@ def certify_irregular(eq: MahlerEquation, f: LaurentSeries, m_max: int = 3) -> C
     vanishes at some xi != 0 with xi^(k^M) = xi.
 
     Minimality of the equation is unconditional at degree 1 and otherwise
-    holds up to the recorded search bounds; failure to certify anything
-    is INCONCLUSIVE, never a claim of regularity.
+    holds up to the recorded bounds of a search for a lower-degree
+    equation; M = 1 is skipped when the prefix is too short for that
+    search.  Failure to certify anything is INCONCLUSIVE, never a claim of
+    regularity.
     """
     require_solution(eq, f)
     if f.is_zero():
@@ -224,8 +226,8 @@ def certify_irregular(eq: MahlerEquation, f: LaurentSeries, m_max: int = 3) -> C
                 try:
                     lowered = guess(f, k, cand.d - 1, bound)
                 except ValueError:
-                    lowered = None
                     notes.append("M=1: prefix too short to probe lower degrees")
+                    continue
                 if lowered is not None:
                     cand = lowered
                     minimality = (
@@ -323,33 +325,9 @@ def structure_decompose(
     return big_j.truncate(min(f.order, max(order, 1) + f.valuation)), gamma_poly, rho, delta
 
 
-def reciprocal_rep(q: Poly, k: int) -> LinearRepresentation:
-    """Representation of the reciprocal series 1/Q(z) for Q(0) = 1.
-
-    The gate is certify_regular on the degree-1 equation with leading
-    coefficient Q.  The closure itself runs on an equation solved by 1/Q:
-    when Q divides Q(z^k) the quotient W gives the leading-coefficient-1
-    relation H = W(z) H(z^k); otherwise Q(z) H(z) = Q(z^k) H(z^k) is used.
-    """
-    if q.constant() != 1:
-        raise ValueError("Q(0) must be 1")
-    qk = q.substitute_power(k)
-    if q.degree() == 0:
-        heq = MahlerEquation(k, [P_ONE, Poly([-1])])
-    else:
-        # Normalization-produced Q divides Q(z^k); the quotient W gives the
-        # telescoping relation H = W(z) H(z^k) for H = 1/Q.  Otherwise fall
-        # back to Q(z) H(z) = Q(z^k) H(z^k), gated by the zero certificate.
-        quot, rem = qk.divrem(q)
-        if rem.is_zero():
-            heq = MahlerEquation(k, [P_ONE, -quot])
-        else:
-            gate = certify_regular(MahlerEquation(k, [q, Poly([-1])]))
-            if gate.verdict != REGULAR:
-                raise ValueError("certificate rejected Q: %s" % gate.note)
-            heq = MahlerEquation(k, [q, -qk])
-    series = LaurentSeries.from_poly(P_ONE, 64).div_poly(q)
-    rep = closure_rep(heq, series)
-    if rep is None:
-        raise InvariantViolation("closure caps exceeded for an accepted Q")
-    return rep
+def reciprocal_rep(norm: BeckerNormalization) -> LinearRepresentation | None:
+    """Representation of H = 1/Q, read off the normalization: Q(z^k) = Q P h
+    makes H = P h H(z^k) an equation with leading coefficient 1.  None when
+    the closure caps are exceeded."""
+    heq = MahlerEquation(norm.new_eq.k, [P_ONE, -(norm.P * norm.h)])
+    return closure_rep(heq, LaurentSeries.from_poly(P_ONE, 64).div_poly(norm.Q))

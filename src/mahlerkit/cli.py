@@ -302,9 +302,13 @@ def cmd_pipeline(args):
         g = shifted_solution(eq, norm, f)
         report["normalization"] = jsonio.normalization_to_json(norm)
         stage = "becker-search"
-        becker_eq = pinned_relation_search(g, eq.k, args.depth_max, args.deg_max)
+        try:
+            becker_eq = pinned_relation_search(g, eq.k, args.depth_max, args.deg_max)
+        except ValueError as exc:  # the prefix is too short for the search bounds
+            becker_eq = None
+            report["becker"] = {"verdict": "INCONCLUSIVE", "note": str(exc)}
         if becker_eq is None:
-            report["becker"] = {"verdict": "INCONCLUSIVE"}
+            report.setdefault("becker", {"verdict": "INCONCLUSIVE"})
         else:
             res = verify(becker_eq, g)
             report["becker"] = {

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .algebra import P_ONE, Poly
 from .becker import NOT_REGULAR, certify, normalize
 from .errors import InvariantViolation
-from .mahler import MahlerEquation, guess, pinned_relation_search, verify
+from .mahler import MahlerEquation, verify
 from .regular import closure_rep
 from .series import LaurentSeries, prefix_oracle
 
@@ -74,49 +74,6 @@ def induced_equation_k2() -> MahlerEquation:
     return MahlerEquation(
         2, [Poly([0, 0, 0, 1]), Poly([0, 0, -1]), Poly([0, 0, 1, -1])]
     )
-
-
-def independence_check(k: int, deg_max: int = 12, terms: int = 256) -> bool:
-    """Desk-scale corroboration that F0(z) and F0(z^k) admit no two-term
-    polynomial relation: the guessing kernel must come back empty."""
-    fam = paradox_family(k, terms)
-    return guess(fam.F0, k, 1, deg_max) is None
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    multiplier: Poly
-    found: bool
-    equation: MahlerEquation | None
-
-
-def no_becker_multiple_probe(
-    k: int,
-    r_list: tuple[Poly, ...] | None = None,
-    depth_max: int = 3,
-    deg_max: int = 10,
-    terms: int = 256,
-) -> list[ProbeResult]:
-    """Spot-check that R(z) F(z) admits no leading-coefficient-1 relation
-    for each polynomial multiplier R; a finite probe of a universal claim,
-    explicitly heuristic."""
-    if r_list is None:
-        r_list = (
-            P_ONE,
-            Poly([1, 1]),
-            Poly([1, -1]),
-            Poly([1, 1, 1]),
-            Poly([1, 0, 1]),
-        )
-    fam = paradox_family(k, terms)
-    out = []
-    for r in r_list:
-        if r.is_zero():
-            raise ValueError("multipliers must be nonzero polynomials")
-        rf = fam.F.mul_poly(r).truncate(fam.F.order)
-        eq = pinned_relation_search(rf, k, depth_max, deg_max)
-        out.append(ProbeResult(r, eq is not None, eq))
-    return out
 
 
 # -- corpus items -----------------------------------------------------------

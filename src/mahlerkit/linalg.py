@@ -69,9 +69,6 @@ class Echelon:
                 return True
         return False
 
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
     def _back_substitute(self) -> None:
         # Clear pivot columns above each pivot so free columns read off directly.
         cols = sorted(self.pivot_rows, reverse=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from math import ceil
 
 from . import linalg
@@ -80,9 +80,6 @@ class MahlerEquation:
         if cs[0].coeffs[cs[0].val0()] < 0:
             scale = -scale
         return MahlerEquation(self.k, [p.scale(scale) for p in cs])
-
-    def is_associate(self, other: "MahlerEquation") -> bool:
-        return self.primitive() == other.primitive()
 
 
 @dataclass(frozen=True)
@@ -389,13 +386,6 @@ def _companion_products(eq: MahlerEquation):
         yield b
         b = _mat_mul(b, _mat_subst(a, eq.k**n))
         n += 1
-
-
-def b_product(eq: MahlerEquation, n: int) -> list[list[RationalFunction]]:
-    """The iterated companion product A(z) A(z^k) ... A(z^(k^(n-1)))."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return next(islice(_companion_products(eq), n - 1, None))
 
 
 def pole_profile(eq: MahlerEquation, n_order: int, n_max: int) -> list[int]:

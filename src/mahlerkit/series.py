@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import P_ONE, Poly, RationalFunction, ZERO
+from .algebra import P_ONE, Poly, ZERO
 
 
 class LaurentSeries:
@@ -70,14 +70,6 @@ class LaurentSeries:
             self.order,
             list(self.coeffs[:12]) + (["..."] if len(self.coeffs) > 12 else []),
         )
-
-    def agrees_with(self, other: "LaurentSeries", upto: int | None = None) -> bool:
-        """Coefficientwise equality on the common (or given) window."""
-        stop = min(self.order, other.order)
-        if upto is not None:
-            stop = min(stop, upto)
-        start = min(self.valuation, other.valuation)
-        return all(self.coefficient(n) == other.coefficient(n) for n in range(start, stop))
 
     # -- arithmetic; truncation orders propagated soundly -----------------
 
@@ -184,13 +176,6 @@ class LaurentSeries:
         return LaurentSeries(val, out, order)
 
 
-def rational_to_series(rf: RationalFunction, order: int) -> LaurentSeries:
-    """Laurent expansion of a rational function, exact to the given order."""
-    if rf.is_zero():
-        return LaurentSeries.zero(order)
-    return LaurentSeries.from_poly(rf.num, order + rf.den.val0()).div_poly(rf.den)
-
-
 def cartier(f: LaurentSeries, k: int, i: int) -> LaurentSeries:
     """Section operator: coefficient of z^n in the result is the
     coefficient of z^(k*n+i) in the input, over all integers n."""
@@ -200,15 +185,6 @@ def cartier(f: LaurentSeries, k: int, i: int) -> LaurentSeries:
     order = -((i - f.order) // k)  # ceil((O - i) / k)
     cs = [f.coefficient(k * n + i) for n in range(val, order)]
     return LaurentSeries(val, cs, order)
-
-
-def sections_recompose(f: LaurentSeries, k: int) -> LaurentSeries:
-    """Rebuild sum_i z^i * Lambda_i(F)(z^k); equals F to the known order."""
-    acc = None
-    for i in range(k):
-        term = cartier(f, k, i).compose_power(k).shift(i)
-        acc = term if acc is None else acc + term
-    return acc
 
 
 # -- brute-force coefficient oracles ---------------------------------------

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import reconstruct
 from mahlerkit.algebra import Poly, cyclotomic, cyclotomic_profile, norm_over_kth_roots, rational_content
 from mahlerkit.becker import _fixed_point_orders
 from mahlerkit.errors import InvariantViolation
@@ -156,7 +157,7 @@ def test_cyclotomic_profile_matches_sympy_factor_list(seed):
             p = p * cyclotomic(rng.randint(1, 30)) ** rng.randint(1, 2)
         prof = cyclotomic_profile(p)
         assert (prof.z_power, prof.cyclo, prof.remainder) == sympy_profile(p)
-        assert prof.reconstruct() == p
+        assert reconstruct(prof) == p
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -1,11 +1,11 @@
 import dataclasses
 import random
-from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from dense_series import dense_mul
+from helpers import agrees_with
 from mahlerkit.algebra import (
     P_ONE,
     Poly,
@@ -16,6 +16,7 @@ from mahlerkit.becker import (
     INCONCLUSIVE,
     NOT_REGULAR,
     REGULAR,
+    certify,
     certify_irregular,
     certify_regular,
     normalize,
@@ -177,7 +178,7 @@ def test_certify_irregular_binary_partitions():
     assert cert.M == 1
     assert cert.order == 1
     assert cert.minimality.startswith("unconditional")
-    assert cert.equation.is_associate(PARTITION_EQ)
+    assert cert.equation.primitive() == PARTITION_EQ.primitive()
 
 
 def test_certify_irregular_inconclusive_cases():
@@ -186,6 +187,40 @@ def test_certify_irregular_inconclusive_cases():
     f = LaurentSeries.from_poly(P(1, -1), 64)
     cert = certify_irregular(ONE_PLUS_Z_EQ, f)
     assert cert.verdict == INCONCLUSIVE
+
+
+def test_certify_regular_zero_off_the_unit_circle():
+    # a_0 = 1 + 2z: its zero -1/2 is no root of unity
+    cert = certify_regular(MahlerEquation(2, [P(1, 2), P(-1)]))
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.note == "a_0 has zeros that are not roots of unity"
+
+
+def test_certify_irregular_skips_m1_when_the_probe_cannot_run():
+    # L = (S + 1 - z) o (1 - S) kills F = 1, and its a_0 = 1 - z vanishes at
+    # the fixed point 1; too short a prefix to probe for the order-1 factor
+    # must not read L as minimal
+    eq = MahlerEquation(2, [P(1, -1), P(0, 1), P(-1)])
+    cert = certify(eq, LaurentSeries.from_poly(P_ONE, 12))
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.note.startswith("M=1: prefix too short to probe lower degrees; M=2")
+    assert certify(eq, LaurentSeries.from_poly(P_ONE, 40)).verdict == INCONCLUSIVE
+
+
+def test_certify_irregular_lowers_a_non_minimal_input():
+    # L = ((1 - z) + S) o (1 - (1 + z + z^2) S) kills the Stern series; the
+    # probe at the input's bound finds the order-1 factor, whose a_0 = 1
+    eq = MahlerEquation(2, [P(1, -1), P(0, 0, 0, 1), P(-1, 0, -1, 0, -1)])
+    assert certify(eq, prefix_oracle("stern", 64)).verdict == INCONCLUSIVE
+
+
+def test_certify_irregular_fits_a_base_k_power_equation():
+    # a_0 = Phi_3 has no zero fixed by z -> z^2, but the base-4 equation's
+    # a_0 = (1 + z + z^2)(1 + z^2 + z^4) needs the degree bound 2 (4 - 1)
+    eq = MahlerEquation(2, [P(1, 1, 1), P(-1, -2)])
+    (f,) = solve_series(eq, 64)
+    cert = certify(eq, f)
+    assert (cert.verdict, cert.M, cert.order) == (NOT_REGULAR, 2, 3)
 
 
 def test_certify_irregular_requires_solution():
@@ -264,7 +299,7 @@ def test_structure_decompose_examples():
     t = prefix_oracle("thue_morse", 16)
     big_j, gamma_poly, rho, delta = structure_decompose(THUE_MORSE_EQ, t)
     assert gamma_poly == P_ONE
-    assert big_j.agrees_with(t)
+    assert agrees_with(big_j, t)
 
     f = LaurentSeries.from_poly(P(1, -1), 16)
     big_j, gamma_poly, rho, delta = structure_decompose(ONE_PLUS_Z_EQ, f)
@@ -285,7 +320,7 @@ def test_structure_decompose_reconstructs():
         while eq.k**j < order:
             back = back.div_poly(gamma_poly.substitute_power(eq.k**j))
             j += 1
-        assert back.agrees_with(f, order - 1)
+        assert agrees_with(back, f, order - 1)
 
 
 def _dense_structure_j(eq, f, gamma_poly):
@@ -320,20 +355,21 @@ def test_structure_decompose_matches_dense_formula():
 
 
 def test_reciprocal_rep_examples():
-    rep = reciprocal_rep(P(1, -1), 2)
+    norm = normalize(ONE_PLUS_Z_EQ)  # Q = 1 - z
+    rep = reciprocal_rep(norm)
     assert rep.dim == 1
     assert [eval_rep(rep, n) for n in range(8)] == [1] * 8
 
-    rep = reciprocal_rep(P_ONE, 2)
+    rep = reciprocal_rep(normalize(THUE_MORSE_EQ))  # Q = 1
     assert [eval_rep(rep, n) for n in range(6)] == [1, 0, 0, 0, 0, 0]
 
-    rep = reciprocal_rep(P(1, 0, -1), 2)
-    expected = LaurentSeries(0, [1 - n % 2 for n in range(64)], 64)  # 1/(1 - z^2)
-    assert series_of_rep(rep, 64).agrees_with(expected, 64)
+    norm = normalize(MahlerEquation(3, [cyclotomic(3), P(-1)]))
+    assert norm.Q == P(1, -2, 1)
+    expected = LaurentSeries(0, [n + 1 for n in range(64)], 64)  # 1/(1 - z)^2
+    assert agrees_with(series_of_rep(reciprocal_rep(norm), 64), expected, 64)
 
 
-def test_reciprocal_rep_rejects_bad_input():
-    with pytest.raises(ValueError):
-        reciprocal_rep(P(2, 1), 2)  # constant term != 1
-    with pytest.raises(ValueError):
-        reciprocal_rep(P(-1, -1, 1).scale(Fraction(-1)), 2)  # golden-ratio zeros
+def test_reciprocal_rep_caps_exceeded_is_none():
+    # k = 6, a_0 = Phi_4 Phi_9: deg Q = 56, past the default closure caps
+    norm = normalize(MahlerEquation(6, [cyclotomic(4) * cyclotomic(9), P(-1)]))
+    assert reciprocal_rep(norm) is None

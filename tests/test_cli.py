@@ -232,9 +232,11 @@ def test_cli_empty_window_far_out_runs_in_bounded_time():
     for command in ("normalize", "decompose"):
         proc = run_cli(command, OPZ_EQ_JSON, "--series", zero, timeout=30)
         assert proc.returncode == 0, proc.stderr
-    proc = run_cli("pipeline", OPZ_EQ_JSON, "--series", zero, timeout=30)
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("[becker-search] input error: insufficient prefix length 0")
+    proc = run_cli("--format", "json", "pipeline", OPZ_EQ_JSON, "--series", zero, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    becker = json.loads(proc.stdout)["becker"]
+    assert becker["verdict"] == "INCONCLUSIVE"
+    assert becker["note"].startswith("insufficient prefix length 0")
 
 
 def test_cli_exit_codes():
@@ -361,8 +363,23 @@ def test_cli_pipeline_thue_morse():
 def test_cli_pipeline_inconclusive_branch():
     prefix = series_json(prefix_oracle("binary_partitions", 128))
     doc = run_json("pipeline", U_EQ_JSON, "--series", prefix, "--depth-max", "2", "--deg-max", "3")
-    assert doc["becker"]["verdict"] == "INCONCLUSIVE"
+    assert doc["becker"] == {"verdict": "INCONCLUSIVE"}
     assert doc["certificate"]["verdict"] == "NOT_REGULAR"
+
+
+def test_cli_pipeline_short_prefix_is_inconclusive(capsys):
+    # 12 terms are too few for the default search bounds: the Becker step
+    # names the bound it lacks and the certificate is still computed
+    one = series_json(LaurentSeries.from_poly(Poly([1]), 12))
+    eq = json.dumps({"k": 2, "coeffs": [["1"], ["-1"]]})
+    assert cli.main(["--format", "json", "pipeline", eq, "--series", one]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["becker"] == {
+        "verdict": "INCONCLUSIVE",
+        "note": "insufficient prefix length 12 for bounds (4, 12) plus margin 16",
+    }
+    assert "witness" not in doc
+    assert doc["certificate"]["verdict"] == "REGULAR"
 
 
 def test_cli_pipeline_reports_normalization():
@@ -432,8 +449,8 @@ def test_no_dense_series_product_on_any_path(monkeypatch, capsys, tmp_path):
         assert cli.main(["--format", "json", "pipeline", eq, "--series", prefix]) == 0
         assert cli.main(["--format", "json", "decompose", eq, "--series", prefix]) == 0
     capsys.readouterr()
-    rep = reciprocal_rep(Poly([1, 0, -1]), 2)
-    assert series_of_rep(rep, 16).coefficient_list(0, 16) == [1 - n % 2 for n in range(16)]
+    rep = reciprocal_rep(normalize(MahlerEquation(3, [Poly([1, 1, 1]), Poly([-1])])))
+    assert series_of_rep(rep, 16).coefficient_list(0, 16) == [n + 1 for n in range(16)]  # 1/(1 - z)^2
     stern = MahlerEquation(2, [Poly([1]), Poly([-1, -1, -1])])
     assert closure_rep(stern, prefix_oracle("stern", 64)).dim == 2
 

@@ -2,17 +2,10 @@ from pathlib import Path
 
 import pytest
 
+from helpers import agrees_with
 from mahlerkit import jsonio
 from mahlerkit.algebra import P_ONE, Poly
-from mahlerkit.corpus import (
-    build_corpus,
-    corpus_names,
-    family_equation,
-    independence_check,
-    induced_equation_k2,
-    no_becker_multiple_probe,
-    paradox_family,
-)
+from mahlerkit.corpus import build_corpus, corpus_names, family_equation, induced_equation_k2, paradox_family
 from mahlerkit.mahler import MahlerEquation, guess, pinned_relation_search, solve_series, verify
 from mahlerkit.series import prefix_oracle
 
@@ -44,7 +37,7 @@ def test_paradox_two_constructions_agree():
     fam = paradox_family(2, 64)
     basis = solve_series(family_equation(2), 64)
     h = next(b for b in basis if b.valuation == 0)
-    assert h.agrees_with(fam.H, 64)
+    assert agrees_with(h, fam.H, 64)
     # and 1/z spans the rest of the solution space
     pole = next(b for b in basis if b.valuation == -1)
     assert pole.coefficient_list(-1, 64) == [1] + [0] * 64
@@ -56,8 +49,9 @@ def test_f_solves_induced_equation():
 
 
 def test_independence_check():
-    assert independence_check(2)
-    assert independence_check(3)
+    # F0(z) and F0(z^k) admit no two-term relation of degree <= 12
+    for k in (2, 3):
+        assert guess(paradox_family(k, 256).F0, k, 1, 12) is None
 
 
 def test_independence_inversion_control():
@@ -68,10 +62,16 @@ def test_independence_inversion_control():
     assert found is not None and found.d == 1
 
 
+def multiple_relation(f, r, k, depth_max, deg_max):
+    """A leading-coefficient-1 relation for R(z) F(z) within the bounds, or
+    None: a finite probe of a universal claim, explicitly heuristic."""
+    return pinned_relation_search(f.mul_poly(r).truncate(f.order), k, depth_max, deg_max)
+
+
 def test_no_becker_multiple_probe_defaults():
-    results = no_becker_multiple_probe(2)
-    assert len(results) == 5
-    assert all(not r.found for r in results)
+    f = paradox_family(2, 256).F
+    for r in (P_ONE, P(1, 1), P(1, -1), P(1, 1, 1), P(1, 0, 1)):
+        assert multiple_relation(f, r, 2, 3, 10) is None
 
 
 def test_no_becker_probe_control_on_shifted_function():
@@ -83,12 +83,13 @@ def test_no_becker_probe_control_on_shifted_function():
 
 def test_probe_rejects_zero_multiplier():
     with pytest.raises(ValueError):
-        no_becker_multiple_probe(2, r_list=(Poly(),))
+        multiple_relation(paradox_family(2, 256).F, Poly(), 2, 3, 10)
 
 
 def test_probe_accepts_z_multiple_multipliers():
-    results = no_becker_multiple_probe(2, r_list=(P(0, 1), P(0, 1, 1)), depth_max=2, deg_max=6)
-    assert all(not r.found for r in results)
+    f = paradox_family(2, 256).F
+    for r in (P(0, 1), P(0, 1, 1)):
+        assert multiple_relation(f, r, 2, 2, 6) is None
 
 
 def test_every_corpus_prefix_solves_its_equation():

@@ -1,11 +1,13 @@
 """Every module of the package uses each name it imports, and every
-private function has a caller.
+function, method and class has a caller.
 
 ``__init__.py`` is exempt from the import scan, because its imports are
 the public API, and so is an import whose line carries ``# noqa``: a name
-kept importable from a module that does not call it.  A function or method
-whose name starts with one underscore is private to the package, so some
-code of the package must name it outside its own ``def``.
+kept importable from a module that does not call it.  Some code of the
+package must name each function, method and class outside its own
+``def``; a re-export in ``__init__.py`` does not count, a CLI handler's
+registration does.  The public names kept without a caller are listed in
+UNCALLED_PUBLIC with their reasons.
 """
 
 import ast
@@ -43,16 +45,38 @@ def test_unused_import_is_reported_unless_marked():
     assert unused_imports(source) == ["lcm (line 1)", "osp (line 3)"]
 
 
-def unreferenced_private_functions(sources: dict) -> list[str]:
-    """Functions and methods named _x that no code in sources (module name
-    to text) names outside their own def."""
+# public names with no caller in the package, each kept for a reason
+UNCALLED_PUBLIC = {
+    "becker.reciprocal_rep": "the library's representation of 1/Q, shown in the README",
+    "corpus.family_equation": "bench/workloads.py builds its paradox-family job from it",
+    "series.LaurentSeries.invert": "bench/tracing.py wraps it and bench/test_bench.py reads its span",
+}
+
+
+def _definitions(tree, prefix=""):
+    """(qualified name, node) for every function, method and class."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node
+            yield from _definitions(node, prefix + node.name + ".")
+        else:
+            yield from _definitions(node, prefix)
+
+
+def unreferenced_definitions(sources: dict, private: bool) -> list[str]:
+    """Functions, methods and classes that no code in sources (module name
+    to text) names outside their own def: those named _x when private, the
+    others when not, dunders aside.  A re-export in __init__ is no use."""
     defs, refs = [], []
     for module, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name.startswith("_") and not node.name.startswith("__"):
-                    defs.append((module, node))
-            elif isinstance(node, ast.Name):
+        tree = ast.parse(source)
+        for qualname, node in _definitions(tree):
+            if not node.name.startswith("__") and node.name.startswith("_") == private:
+                defs.append((module, qualname, node))
+        if module == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
                 refs.append((module, node.lineno, node.id))
             elif isinstance(node, ast.Attribute):
                 refs.append((module, node.lineno, node.attr))
@@ -63,15 +87,18 @@ def unreferenced_private_functions(sources: dict) -> list[str]:
         return ref[2] == node.name and not (ref[0] == module and node.lineno <= ref[1] <= node.end_lineno)
 
     return [
-        "%s.%s (line %d)" % (module, node.name, node.lineno)
-        for module, node in defs
+        "%s.%s (line %d)" % (module, qualname, node.lineno)
+        for module, qualname, node in defs
         if not any(outside(module, node, ref) for ref in refs)
     ]
 
 
+def package_sources() -> dict:
+    return {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_every_private_function_has_a_caller():
-    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert unreferenced_private_functions(sources) == []
+    assert unreferenced_definitions(package_sources(), private=True) == []
 
 
 def test_uncalled_private_function_is_reported():
@@ -80,4 +107,22 @@ def test_uncalled_private_function_is_reported():
         "b": "from a import _used\n\nclass C:\n    def _method(self):\n        return self._method\n\n    def _helper(self):\n        return _used()\n",
         "c": "import b\n\nb.C()._helper()\n",
     }
-    assert unreferenced_private_functions(sources) == ["a._recursive (line 4)", "b._method (line 4)"]
+    assert unreferenced_definitions(sources, private=True) == ["a._recursive (line 4)", "b.C._method (line 4)"]
+
+
+def test_every_public_name_has_a_caller():
+    found = unreferenced_definitions(package_sources(), private=False)
+    assert sorted(entry.split(" ")[0] for entry in found) == sorted(UNCALLED_PUBLIC)
+
+
+def test_uncalled_public_name_is_reported():
+    sources = {
+        "__init__": "from .a import Box, exported, used\n",
+        "a": (
+            "def exported():\n    pass\n\ndef used():\n    return 1\n\n"
+            "class Box:\n    def unread(self):\n        return self.unread\n\n"
+            "    def read(self):\n        return used()\n\n    def _private(self):\n        pass\n"
+        ),
+        "cli": "from a import Box\n\ndef cmd_read(args):\n    return Box().read()\n\nHANDLERS = [cmd_read]\n",
+    }
+    assert unreferenced_definitions(sources, private=False) == ["a.exported (line 1)", "a.Box.unread (line 8)"]

@@ -1,11 +1,13 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from dense_series import dense_mul, dense_rational_to_series
+from helpers import agrees_with
 from mahlerkit import jsonio, linalg
 from mahlerkit.algebra import (
     P_ONE,
@@ -19,7 +21,7 @@ from mahlerkit.mahler import (
     CoordinateVector,
     MahlerEquation,
     VerifyResult,
-    b_product,
+    _companion_products,
     cartier_coordinates,
     companion,
     coordinate_series,
@@ -59,7 +61,7 @@ def test_primitive_and_associate():
     assert prim.content() == P_ONE
     # the common factor 2z divides out, signs fixed by the first coefficient
     assert prim.coeffs == (P(1, 1), P(-2))
-    assert eq.is_associate(MahlerEquation(2, [P(1, 1).scale(Fraction(1, 3)), P(-2).scale(Fraction(1, 3))]))
+    assert eq.primitive() == MahlerEquation(2, [P(1, 1).scale(Fraction(1, 3)), P(-2).scale(Fraction(1, 3))]).primitive()
 
 
 def test_valuation_bound_examples():
@@ -72,13 +74,13 @@ def test_valuation_bound_examples():
 def test_solve_thue_morse():
     basis = solve_series(THUE_MORSE_EQ, 64)
     assert len(basis) == 1
-    assert basis[0].agrees_with(prefix_oracle("thue_morse", 64))
+    assert agrees_with(basis[0], prefix_oracle("thue_morse", 64))
 
 
 def test_solve_binary_partitions():
     basis = solve_series(PARTITION_EQ, 64)
     assert len(basis) == 1
-    assert basis[0].agrees_with(prefix_oracle("binary_partitions", 64))
+    assert agrees_with(basis[0], prefix_oracle("binary_partitions", 64))
 
 
 def test_solve_afunc_two_dimensional():
@@ -200,10 +202,10 @@ def test_verify_cost_is_bounded_by_the_window():
 def test_guess_examples():
     s = prefix_oracle("stern", 64)
     eq = guess(s, 2, 2, 3)
-    assert eq is not None and eq.is_associate(STERN_EQ)
+    assert eq is not None and eq.primitive() == STERN_EQ.primitive()
     t = prefix_oracle("thue_morse", 64)
     eq = guess(t, 2, 2, 3)
-    assert eq.is_associate(THUE_MORSE_EQ)
+    assert eq.primitive() == THUE_MORSE_EQ.primitive()
 
 
 def test_guess_rejects_unrelated_prefix():
@@ -223,7 +225,12 @@ def test_guess_solve_idempotent_on_corpus():
     for eq in (THUE_MORSE_EQ, STERN_EQ, PARTITION_EQ):
         s = solve_series(eq, 80)[0]
         again = guess(s, eq.k, eq.d + 1, 4)
-        assert again is not None and again.is_associate(eq)
+        assert again is not None and again.primitive() == eq.primitive()
+
+
+def b_product(eq, n):
+    """B_n = A(z) A(z^k) ... A(z^(k^(n-1))), the n-th companion product."""
+    return next(islice(_companion_products(eq), n - 1, None))
 
 
 def test_companion_examples():
@@ -278,7 +285,7 @@ def test_cartier_coordinates_match_series(r):
     out = cartier_coordinates(STERN_EQ, vec)[r]
     lhs = coordinate_series(STERN_EQ, out, s, 32)
     rhs = cartier(coordinate_series(STERN_EQ, vec, s, 70), 2, r)
-    assert lhs.agrees_with(rhs, 32)
+    assert agrees_with(lhs, rhs, 32)
 
 
 def test_cartier_coordinates_with_z_power_leading():
@@ -291,7 +298,7 @@ def test_cartier_coordinates_with_z_power_leading():
     for r, out in enumerate(cartier_coordinates(eq, vec)):
         lhs = coordinate_series(eq, out, f, 16)
         rhs = cartier(coordinate_series(eq, vec, f, 40), 2, r)
-        assert lhs.agrees_with(rhs, 16)
+        assert agrees_with(lhs, rhs, 16)
 
 
 def _dense_coordinate_series(eq, vec, f, order):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import agrees_with
 from mahlerkit import jsonio, mahler
 from mahlerkit.algebra import Poly, cyclotomic
 from mahlerkit.corpus import CLOSURE_CAPS, corpus_names
@@ -47,7 +48,7 @@ def test_eval_rep_examples():
 
 def test_series_of_rep():
     t = series_of_rep(TM_REP, 32)
-    assert t.agrees_with(prefix_oracle("thue_morse", 32))
+    assert agrees_with(t, prefix_oracle("thue_morse", 32))
     zero_rep = LinearRepresentation(2, 1, [1], [[[1]], [[1]]], [0])
     assert series_of_rep(zero_rep, 8).is_zero()
 
@@ -79,13 +80,13 @@ def test_closure_thue_morse_dim1():
     assert rep is not None and rep.dim == 1
     assert rep.row == (1,) and rep.col == (1,)
     assert rep.matrices == (((Fraction(1),),), ((Fraction(-1),),))
-    assert series_of_rep(rep, 64).agrees_with(prefix_oracle("thue_morse", 64))
+    assert agrees_with(series_of_rep(rep, 64), prefix_oracle("thue_morse", 64))
 
 
 def test_closure_stern_dim2():
     rep = closure_rep(STERN_EQ, prefix_oracle("stern", 96))
     assert rep is not None and rep.dim == 2
-    assert series_of_rep(rep, 64).agrees_with(prefix_oracle("stern", 64))
+    assert agrees_with(series_of_rep(rep, 64), prefix_oracle("stern", 64))
     assert eval_rep(rep, 4) == 3  # Stern value s(5)
 
 
@@ -113,20 +114,20 @@ def test_closure_sections_match_series():
 
 def test_rep_to_equation_thue_morse():
     eq = rep_to_equation(TM_REP)
-    assert eq.is_associate(THUE_MORSE_EQ)
+    assert eq.primitive() == THUE_MORSE_EQ.primitive()
 
 
 def test_rep_to_equation_stern_degree_one():
     rep = closure_rep(STERN_EQ, prefix_oracle("stern", 96))
     eq = rep_to_equation(rep)
     assert eq.d == 1
-    assert eq.is_associate(STERN_EQ)
+    assert eq.primitive() == STERN_EQ.primitive()
 
 
 def test_rep_to_equation_constant_sequence():
     eq = rep_to_equation(CONST_ONE_REP)
     # the all-ones sequence: F = (1 + z) F(z^2) at k = 2
-    assert eq.is_associate(MahlerEquation(2, [P(1), P(-1, -1)]))
+    assert eq.primitive() == MahlerEquation(2, [P(1), P(-1, -1)]).primitive()
 
 
 def test_rep_to_equation_verifies_on_series():
@@ -174,7 +175,7 @@ def test_whole_stack_on_random_becker_equations():
         f = basis[0]
         rep = closure_rep(eq, f, max_dim=24, max_depth=48)
         assert rep is not None
-        assert series_of_rep(rep, 96).agrees_with(f, 96)
+        assert agrees_with(series_of_rep(rep, 96), f, 96)
         eq2 = rep_to_equation(rep)
         assert verify(eq2, f).ok
         produced += 1

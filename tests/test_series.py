@@ -4,16 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from dense_series import dense_invert, dense_mul, dense_rational_to_series
+from dense_series import dense_invert, dense_mul
+from helpers import agrees_with, sections_recompose
 from mahlerkit.algebra import P_ONE, Poly
-from mahlerkit.series import (
-    LaurentSeries,
-    cartier,
-    prefix_oracle,
-    rational_to_series,
-    sections_recompose,
-)
-from mahlerkit.algebra import RationalFunction
+from mahlerkit.series import LaurentSeries, cartier, prefix_oracle
 
 
 def rand_series(rng, length=32, valuation=0, lo=-5, hi=5):
@@ -124,8 +118,8 @@ def test_cartier_on_thue_morse():
     t = prefix_oracle("thue_morse", 64)
     even = cartier(t, 2, 0)
     odd = cartier(t, 2, 1)
-    assert even.agrees_with(t, 32)
-    assert odd.agrees_with(t.scale(-1), 32)
+    assert agrees_with(even, t, 32)
+    assert agrees_with(odd, t.scale(-1), 32)
 
 
 def test_cartier_laurent_window():
@@ -143,7 +137,7 @@ def test_recompose_identity_random():
             s = rand_series(rng, length=32, valuation=rng.randint(-4, 4))
             r = sections_recompose(s, k)
             assert r.order == s.order
-            assert r.agrees_with(s)
+            assert agrees_with(r, s)
 
 
 def test_recompose_laurent_and_zero():
@@ -160,7 +154,7 @@ def test_cartier_linearity():
     for k, i in ((2, 0), (2, 1), (3, 2)):
         lhs = cartier(a + b.scale(3), k, i)
         rhs = cartier(a, k, i) + cartier(b, k, i).scale(3)
-        assert lhs.agrees_with(rhs)
+        assert agrees_with(lhs, rhs)
 
 
 def test_product_rule_for_sections():
@@ -177,7 +171,7 @@ def test_product_rule_for_sections():
             for i in range(k):
                 lhs = cartier(fg, k, i)
                 rhs = cartier(g, k, i).mul_poly(f)
-                assert lhs.agrees_with(rhs)
+                assert agrees_with(lhs, rhs)
 
 
 def test_thue_morse_oracle_against_parity():
@@ -232,23 +226,3 @@ def test_prefix_oracle_rejects_unknown():
     with pytest.raises(ValueError):
         prefix_oracle("stern", 0)
 
-
-def test_rational_to_series():
-    rf = RationalFunction(Poly([1]), Poly([1, -1]))
-    s = rational_to_series(rf, 6)
-    assert s.coefficient_list(0, 6) == [1] * 6
-    # pole at 0
-    rf = RationalFunction(Poly([1]), Poly([0, 1]))
-    s = rational_to_series(rf, 3)
-    assert s.valuation == -1
-    assert s.coefficient_list(-1, 3) == [1, 0, 0, 0]
-
-
-def test_rational_to_series_matches_dense_reference():
-    rng = random.Random(14)
-    for _ in range(40):
-        num = _rand_poly(rng, rng.randint(0, 4), rng.randint(0, 3))
-        den = _rand_poly(rng, rng.randint(0, 4), rng.randint(0, 3))
-        order = rng.randint(-2, 12)
-        rf = RationalFunction(num, den)
-        assert rational_to_series(rf, order) == dense_rational_to_series(rf, order)
